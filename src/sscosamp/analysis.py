@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidInputError, NumericalFailureError
-from .linalg import build_projector
+from .linalg import build_projector, lstsq
 from .model import SparseCoefficients
 from .projections import OMPBackend, project_support
 
@@ -239,7 +239,7 @@ def mismatch(dictionary, x, k, greedy=False, enumeration_cap=2_000_000):
     best_coeffs = None
     for support in candidates:
         cols = dictionary.columns(support)
-        coeffs, *_ = np.linalg.lstsq(cols, x, rcond=None)
+        coeffs = lstsq(cols, x)
         resid = x - cols @ coeffs
         value = float(np.linalg.norm(resid) + np.linalg.norm(resid, 1) / math.sqrt(k))
         if value < best:

@@ -12,7 +12,9 @@ touches global RNG state, so a sweep is bit-reproducible from its config.
 
 import csv
 import math
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,7 @@ from .recovery import (
 )
 
 __all__ = [
+    "build_dictionary",
     "ScenarioSpec",
     "SCENARIOS",
     "SweepConfig",
@@ -60,6 +63,18 @@ SWEEP_COLUMNS = ["scenario", "algorithm", "m", "trial", "seed", "snr_db",
 # so averages stay finite and comparable.
 SNR_CLIP_DB = 300.0
 
+# stop_reason of a run that raised NumericalFailureError.
+STOP_NUMERICAL_FAILURE = "numerical_failure"
+
+
+def build_dictionary(kind, n, redundancy=1, scale=100.0):
+    """Build a named dictionary family: "dft" or "rescaled-identity"."""
+    if kind == "dft":
+        return build_overcomplete_dft(n, redundancy)
+    if kind == "rescaled-identity":
+        return build_rescaled_identity(n, scale)
+    raise InvalidInputError(f"unknown dictionary kind {kind!r}")
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -77,11 +92,7 @@ class ScenarioSpec:
     default_max_iters: int = 50
 
     def build_dictionary(self, n):
-        if self.dictionary_kind == "rescaled-identity":
-            return build_rescaled_identity(n, self.scale)
-        if self.dictionary_kind == "dft":
-            return build_overcomplete_dft(n, self.redundancy)
-        raise InvalidInputError(f"unknown dictionary kind {self.dictionary_kind!r}")
+        return build_dictionary(self.dictionary_kind, n, self.redundancy, self.scale)
 
     def draw_coefficients(self, d, k, seed):
         rng = np.random.default_rng(seed)
@@ -309,10 +320,20 @@ def run_sweep(cfg):
                             scenario=cfg.scenario, algorithm=alg, m=m, trial=trial,
                             seed=seed_u64, snr_db=math.nan, success=False,
                             iterations=0, wall_ms=wall_ms,
-                            stop_reason="numerical_failure",
+                            stop_reason=STOP_NUMERICAL_FAILURE,
                         )
                     )
     return SweepResult(config=cfg, rows=tuple(rows))
+
+
+@contextmanager
+def open_output(path):
+    """Open ``path`` for text output; "-" (or None) means standard output."""
+    if path is None or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="", encoding="ascii") as fh:
+            yield fh
 
 
 def _fmt_snr(value):
@@ -330,7 +351,7 @@ def write_sweep_csv(result, path, include_timing=False):
     runs of the same config produce byte-identical files; measured timings
     stay available on the in-memory rows either way.
     """
-    with open(path, "w", newline="", encoding="ascii") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in result.rows:
@@ -350,7 +371,7 @@ def write_sweep_csv(result, path, include_timing=False):
 
 def write_aggregate_csv(result, path, include_timing=False):
     """Write per-(algorithm, m) summaries."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "algorithm", "m", "trials", "success_rate",
                          "mean_snr_db", "mean_iterations", "mean_wall_ms"])
@@ -416,7 +437,7 @@ def write_quality_csv(rows, path):
     def fmt(value):
         return "inf" if math.isinf(value) else f"{value:.9f}"
 
-    with open(path, "w", newline="", encoding="ascii") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["backend", "pattern", "trial", "eps1", "eps2", "opt_residual"])
         for row in rows:

@@ -22,7 +22,10 @@ import numpy as np
 from .analysis import drip_estimate, snr_db, theorem1_constants
 from .bench import (
     SCENARIOS,
+    STOP_NUMERICAL_FAILURE,
     SweepConfig,
+    build_dictionary,
+    open_output,
     run_projection_study,
     run_sweep,
     write_aggregate_csv,
@@ -34,13 +37,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .model import (
-    build_overcomplete_dft,
-    build_rescaled_identity,
-    draw_gaussian_sensing,
-    measure,
-    synthesize,
-)
+from .model import draw_gaussian_sensing, measure, synthesize
 from .recovery import trace_to_csv
 from .bench import _run_algorithm
 
@@ -107,14 +104,6 @@ def build_sweep_config(entries, seed_override=None):
     return SweepConfig(**kwargs)
 
 
-def _build_dictionary(kind, n, redundancy, scale):
-    if kind == "dft":
-        return build_overcomplete_dft(n, redundancy)
-    if kind == "rescaled-identity":
-        return build_rescaled_identity(n, scale)
-    raise InvalidInputError(f"unknown dictionary kind {kind!r}")
-
-
 def _cmd_sweep(args):
     entries = parse_config_file(args.config)
     cfg = build_sweep_config(entries, seed_override=args.seed)
@@ -136,6 +125,10 @@ def _cmd_sweep(args):
         write_sweep_csv(result, args.out, include_timing=args.timing)
     if args.aggregate_out:
         write_aggregate_csv(result, args.aggregate_out, include_timing=args.timing)
+    failed = sum(r.stop_reason == STOP_NUMERICAL_FAILURE for r in result.rows)
+    if failed:
+        print(f"numerical failure: {failed} of {len(result.rows)} runs", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -148,15 +141,12 @@ def _token(value):
 
 
 def _write_text(path, text):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+    with open_output(path) as fh:
+        fh.write(text)
 
 
 def _cmd_project_eval(args):
-    dictionary = _build_dictionary(args.dict, args.n, args.redundancy, args.scale)
+    dictionary = build_dictionary(args.dict, args.n, args.redundancy, args.scale)
     rows = run_projection_study(
         dictionary,
         args.k,
@@ -173,7 +163,7 @@ def _cmd_project_eval(args):
 def _cmd_drip(args):
     root = np.random.SeedSequence(args.seed if args.seed is not None else 0)
     seed_a, seed_trials = root.spawn(2)
-    dictionary = _build_dictionary(args.dict, args.n, args.redundancy, args.scale)
+    dictionary = build_dictionary(args.dict, args.n, args.redundancy, args.scale)
     A = draw_gaussian_sensing(args.m, args.n, seed_a)
     est = drip_estimate(A, dictionary, args.k, args.trials, seed_trials)
     payload = {

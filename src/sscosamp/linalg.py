@@ -1,9 +1,11 @@
 """Dense complex linear algebra primitives.
 
-Orthogonal projectors onto column spans, norm-constrained (ridge) least
-squares, and power-iteration operator norms.  Everything here is a pure
-function of its inputs: no global state, deterministic results, complex128
-arithmetic throughout (real inputs are embedded with zero imaginary part).
+Orthogonal projectors onto column spans, plain and norm-constrained (ridge)
+least squares, and power-iteration operator norms.  Everything here is a
+pure function of its inputs: no global state, deterministic results,
+complex128 arithmetic throughout (real inputs are embedded with zero
+imaginary part).  A LAPACK failure (``LinAlgError``) surfaces as
+:class:`NumericalFailureError`, so callers handle one failure type.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +18,7 @@ from .errors import InvalidInputError, NumericalFailureError
 __all__ = [
     "OrthoProjector",
     "build_projector",
+    "lstsq",
     "tikhonov_lsq",
     "operator_norm",
 ]
@@ -23,6 +26,15 @@ __all__ = [
 # Pivot magnitudes below this fraction of the largest pivot are treated as
 # rank-deficient directions and dropped from projector bases.
 DEFAULT_RANK_TOL = 1e-10
+
+
+def lstsq(cols, y):
+    """Minimum-norm least-squares coefficients for ``y ~ cols @ beta``."""
+    try:
+        beta, *_ = np.linalg.lstsq(cols, y, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"lstsq: {exc}") from exc
+    return beta
 
 
 def _as_matrix(M, name="matrix"):
@@ -111,7 +123,10 @@ def build_projector(cols, rank_tol=DEFAULT_RANK_TOL, support=()):
         raise InvalidInputError("cannot build a projector from zero columns")
     if rank_tol < 0:
         raise InvalidInputError("rank_tol must be >= 0")
-    Q, R, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
+    try:
+        Q, R, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"build_projector: {exc}") from exc
     pivots = np.abs(np.diag(R))
     if pivots.size == 0 or pivots[0] == 0.0:
         rank = 0
@@ -130,7 +145,10 @@ def _ridge_constrained(M, y, norm_bound, tol, max_bisect):
     lam = 0 (the minimum-norm least-squares solution) is accepted whenever it
     already satisfies the bound.
     """
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    try:
+        U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"tikhonov_lsq: {exc}") from exc
     c = U.conj().T @ y
     # Minimum-norm solution with a machine-precision rank cutoff.
     cutoff = max(M.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
@@ -256,11 +274,12 @@ def operator_norm(M, iters=200):
     else:
         return 0.0
     v /= np.linalg.norm(v)
+    MH = M.conj().T
     est = 0.0
     for _ in range(iters):
         w = M @ v
         est = max(est, float(np.linalg.norm(w)))
-        u = M.conj().T @ w
+        u = MH @ w
         nu = np.linalg.norm(u)
         if nu == 0.0:
             break

@@ -8,6 +8,7 @@ an existing Generator).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,19 @@ class Dictionary:
     @property
     def redundancy(self):
         return self.d / self.n
+
+    @cached_property
+    def _conj(self):
+        return self.matrix.conj()
+
+    def analysis(self, z):
+        """Return the analysis coefficients D^H z.
+
+        The conjugate of ``matrix`` is computed on first use and kept, so
+        repeated calls cost one matrix-vector product each (and, as with
+        ``column_norms``, ``matrix`` must not be changed in place).
+        """
+        return self._conj.T @ z
 
     def columns(self, support):
         """Return the n-by-|support| submatrix of the given column indices."""
@@ -197,7 +211,19 @@ def build_overcomplete_dft(n, redundancy):
     t = np.arange(n).reshape(-1, 1)
     j = np.arange(d).reshape(1, -1)
     M = np.exp((2j * np.pi / d) * (t * j)) / math.sqrt(n)
-    return Dictionary(matrix=M, kind="dft")
+    return _OvercompleteDFT(matrix=M, kind="dft")
+
+
+class _OvercompleteDFT(Dictionary):
+    """The dictionary :func:`build_overcomplete_dft` returns.
+
+    Its analysis operator is a zero-padded FFT, O(d log d) per vector, and
+    it keeps no conjugate copy of the matrix.  It agrees with the matrix
+    product to about 1e-12 relative.
+    """
+
+    def analysis(self, z):
+        return np.fft.fft(z, self.d, axis=0) / math.sqrt(self.n)
 
 
 def build_rescaled_identity(n, scale):

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InstanceTooLargeError, InvalidInputError, NumericalFailureError
-from .linalg import build_projector
+from .linalg import build_projector, lstsq
 
 __all__ = [
     "ThresholdBackend",
@@ -42,7 +42,7 @@ DEFAULT_ENUMERATION_CAP = 2_000_000
 EPS_DENOMINATOR_FLOOR = 1e-12
 
 
-def _top_k(scores, k):
+def top_k(scores, k):
     """Indices of the k largest scores, lowest index first among ties."""
     order = np.argsort(-np.asarray(scores), kind="stable")
     return tuple(sorted(int(i) for i in order[:k]))
@@ -68,8 +68,8 @@ class ThresholdBackend:
 
     def support(self, dictionary, z, k):
         z = _check_projection_args(dictionary, z, k)
-        scores = np.abs(dictionary.matrix.conj().T @ z) / dictionary.column_norms
-        return _top_k(scores, k)
+        scores = np.abs(dictionary.analysis(z)) / dictionary.column_norms
+        return top_k(scores, k)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class OMPBackend:
         residual = z
         taken = np.zeros(dictionary.d, dtype=bool)
         for _ in range(k):
-            scores = np.abs(dictionary.matrix.conj().T @ residual) / dictionary.column_norms
+            scores = np.abs(dictionary.analysis(residual)) / dictionary.column_norms
             scores[taken] = -np.inf
             j = int(np.argmax(scores))  # first max wins on ties
             selected.append(j)
@@ -111,20 +111,18 @@ class CoSaMPBackend:
             raise InvalidInputError("max_iters must be >= 1")
         D = dictionary.matrix
         gamma = ()
-        alpha = np.zeros(dictionary.d, dtype=np.complex128)
         residual = z
         z_norm = np.linalg.norm(z)
         for _ in range(self.max_iters):
-            proxy = np.abs(D.conj().T @ residual)
-            omega = _top_k(proxy, min(2 * k, dictionary.d))
+            proxy = np.abs(dictionary.analysis(residual))
+            omega = top_k(proxy, min(2 * k, dictionary.d))
             merged = tuple(sorted(set(omega) | set(gamma)))
             fit = _lsq_fit(D[:, list(merged)], z, self.norm_bound)
             dense = np.zeros(dictionary.d, dtype=np.complex128)
             dense[list(merged)] = fit
-            new_gamma = _top_k(np.abs(dense), k)
-            alpha = np.zeros(dictionary.d, dtype=np.complex128)
-            alpha[list(new_gamma)] = dense[list(new_gamma)]
-            residual = z - D @ alpha
+            new_gamma = top_k(np.abs(dense), k)
+            kept = list(new_gamma)
+            residual = z - D[:, kept] @ dense[kept]
             if new_gamma == gamma or np.linalg.norm(residual) <= 1e-12 * z_norm:
                 gamma = new_gamma
                 break
@@ -157,7 +155,7 @@ class L1Backend:
             tol_abs=self.tol_abs,
             tol_rel=self.tol_rel,
         )
-        return _top_k(np.abs(alpha), k)
+        return top_k(np.abs(alpha), k)
 
 
 @dataclass(frozen=True)
@@ -264,8 +262,7 @@ def evaluate_projection_quality(dictionary, z, k, backend, enumeration_cap=DEFAU
 def _lsq_fit(cols, z, norm_bound):
     """Least-squares coefficients for z ~ cols @ beta, optionally norm-capped."""
     if math.isinf(norm_bound):
-        beta, *_ = np.linalg.lstsq(cols, z, rcond=None)
-        return beta
+        return lstsq(cols, z)
     from .linalg import tikhonov_lsq
 
     return tikhonov_lsq(None, cols, z, norm_bound)
@@ -299,19 +296,19 @@ def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, to
     zn = z / scale
     sig = sigma / scale
     m, d = M.shape
+    MH = M.conj().T
+
+    # Woodbury when wide: (I + M^H M)^-1 b = b - M^H (I + M M^H)^-1 M b
+    gram = M @ MH if m < d else MH @ M
+    try:
+        chol = scipy.linalg.cho_factor(np.eye(gram.shape[0], dtype=np.complex128) + gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"basis_pursuit_denoise: {exc}") from exc
 
     if m < d:
-        # Woodbury: (I + M^H M)^-1 b = b - M^H (I + M M^H)^-1 M b
-        small = np.eye(m, dtype=np.complex128) + M @ M.conj().T
-        chol = scipy.linalg.cho_factor(small)
-
         def solve(b):
-            return b - M.conj().T @ scipy.linalg.cho_solve(chol, M @ b)
-
+            return b - MH @ scipy.linalg.cho_solve(chol, M @ b)
     else:
-        big = np.eye(d, dtype=np.complex128) + M.conj().T @ M
-        chol = scipy.linalg.cho_factor(big)
-
         def solve(b):
             return scipy.linalg.cho_solve(chol, b)
 
@@ -321,7 +318,7 @@ def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, to
     q = np.zeros(m, dtype=np.complex128)  # scaled dual for u = M a - z
     shrink = 1.0 / rho
     for it in range(max_iters):
-        a = solve((v - p) + M.conj().T @ (zn + u - q))
+        a = solve((v - p) + MH @ (zn + u - q))
         Ma = M @ a
         # soft-threshold (prox of the l1 norm, complex-safe)
         w = a + p
@@ -335,14 +332,14 @@ def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, to
         q = q + (Ma - zn) - u_new
         r_norm = math.hypot(np.linalg.norm(a - v_new), np.linalg.norm(Ma - zn - u_new))
         s_norm = rho * math.hypot(
-            np.linalg.norm(v_new - v), np.linalg.norm(M.conj().T @ (u_new - u))
+            np.linalg.norm(v_new - v), np.linalg.norm(MH @ (u_new - u))
         )
         v, u = v_new, u_new
         eps_pri = math.sqrt(d + m) * tol_abs + tol_rel * max(
             np.linalg.norm(a), np.linalg.norm(v), np.linalg.norm(u), 1.0
         )
         eps_dual = math.sqrt(d) * tol_abs + tol_rel * rho * math.hypot(
-            np.linalg.norm(p), np.linalg.norm(M.conj().T @ q)
+            np.linalg.norm(p), np.linalg.norm(MH @ q)
         )
         if r_norm <= eps_pri and s_norm <= eps_dual:
             return v * scale

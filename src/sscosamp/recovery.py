@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import build_projector, tikhonov_lsq
-from .projections import ThresholdBackend, basis_pursuit_denoise, project_support
+from .linalg import build_projector, lstsq, tikhonov_lsq
+from .projections import ThresholdBackend, basis_pursuit_denoise, project_support, top_k
 
 __all__ = [
     "SSCoSaMPConfig",
@@ -158,8 +158,8 @@ def sscosamp(A, dictionary, measurements, cfg):
     records = []
     stop_reason = STOP_MAX_ITERS
     for it in range(cfg.max_iters):
-        # proxy
-        h = Amat.conj().T @ residual
+        # proxy (A is real, so A^H = A^T)
+        h = Amat.T @ residual
         # identify
         omega = _run_backend(cfg.identify_backend, dictionary, h, 2 * cfg.k, "identify", it)
         # merge
@@ -213,11 +213,6 @@ def _combined_matrix(A, dictionary):
     return A.matrix @ dictionary.matrix
 
 
-def _coef_top_k(values, k):
-    order = np.argsort(-np.abs(values), kind="stable")
-    return tuple(sorted(int(i) for i in order[:k]))
-
-
 def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
                     norm_bound=math.inf, residual_tol=1e-12, stall_tol=1e-10):
     """Plain CoSaMP on the combined matrix A D, reported in signal space.
@@ -235,6 +230,7 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
     d = Phi.shape[1]
     if 2 * k > d:
         raise InvalidInputError(f"identification needs 2k <= d, got k={k}, d={d}")
+    Phi_adj = Phi.conj().T
     y = measurements.y
     y_norm = float(np.linalg.norm(y))
     gamma = ()
@@ -243,13 +239,13 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
     records = []
     stop_reason = STOP_MAX_ITERS
     for it in range(max_iters):
-        h = Phi.conj().T @ residual
-        omega = _coef_top_k(h, 2 * k)
+        h = Phi_adj @ residual
+        omega = top_k(np.abs(h), 2 * k)
         merged = tuple(sorted(set(omega) | set(gamma)))
         beta = tikhonov_lsq(None, Phi[:, list(merged)], y, norm_bound)
         dense = np.zeros(d, dtype=np.complex128)
         dense[list(merged)] = beta
-        gamma = _coef_top_k(dense, k)
+        gamma = top_k(np.abs(dense), k)
         alpha_new = np.zeros(d, dtype=np.complex128)
         alpha_new[list(gamma)] = dense[list(gamma)]
         _guard_finite(alpha_new, "coefficient iterate", it)
@@ -303,6 +299,8 @@ def omp_baseline(A, dictionary, measurements, k, normalize=True):
     y_norm = float(np.linalg.norm(y))
     col_norms = np.linalg.norm(Phi, axis=0)
     weights = np.where(col_norms > 0, col_norms, 1.0) if normalize else np.ones(d)
+    # formed after the column norms so it never coexists with their temporaries
+    Phi_adj = Phi.conj().T
     selected = []
     taken = np.zeros(d, dtype=bool)
     residual = y.copy()
@@ -310,13 +308,13 @@ def omp_baseline(A, dictionary, measurements, k, normalize=True):
     records = []
     stop_reason = STOP_MAX_ITERS
     for it in range(k):
-        h = Phi.conj().T @ residual
+        h = Phi_adj @ residual
         scores = np.abs(h) / weights
         scores[taken] = -np.inf
         j = int(np.argmax(scores))
         selected.append(j)
         taken[j] = True
-        beta, *_ = np.linalg.lstsq(Phi[:, selected], y, rcond=None)
+        beta = lstsq(Phi[:, selected], y)
         _guard_finite(beta, "refit coefficients", it)
         residual = y - Phi[:, selected] @ beta
         res_norm = float(np.linalg.norm(residual))
@@ -374,9 +372,9 @@ def l1_baseline(A, dictionary, measurements, k, solver_tol=1e-6,
         )
         mags = np.abs(alpha)
         eligible = int(np.count_nonzero(mags > L1_MAGNITUDE_FLOOR * y_norm))
-        support = _coef_top_k(mags, min(k, eligible))
+        support = top_k(mags, min(k, eligible))
     if support:
-        beta, *_ = np.linalg.lstsq(Phi[:, list(support)], y, rcond=None)
+        beta = lstsq(Phi[:, list(support)], y)
         x_hat = dictionary.matrix[:, list(support)] @ beta
         residual = y - Phi[:, list(support)] @ beta
     else:

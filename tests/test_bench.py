@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sscosamp.bench as bench
 from sscosamp import (
@@ -139,6 +140,29 @@ def test_numerical_failure_recorded_not_raised(monkeypatch):
                for r in failed)
     ok = [r for r in result.rows if r.algorithm == "sscosamp-threshold"]
     assert ok and all(r.stop_reason != "numerical_failure" for r in ok)
+
+
+@pytest.mark.parametrize("owner, attr", [
+    (np.linalg, "lstsq"),
+    (np.linalg, "svd"),
+    (scipy.linalg, "qr"),
+])
+def test_lapack_failure_is_one_failed_row(monkeypatch, owner, attr):
+    real = getattr(owner, attr)
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("synthetic LAPACK breakdown")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, fails_once)
+    cfg = SweepConfig(**{**TINY, "algorithms": ("omp", "sscosamp-threshold")})
+    result = run_sweep(cfg)
+    assert len(result.rows) == 6
+    failed = [r for r in result.rows if r.stop_reason == "numerical_failure"]
+    assert len(failed) == 1 and len(calls) > 1
 
 
 def test_hybrid_scenario_runs():

@@ -2,7 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from sscosamp import InvalidInputError
 from sscosamp.cli import build_sweep_config, main, parse_config_file
@@ -206,3 +208,53 @@ def test_bad_usage_raises_systemexit():
         main(["no-such-command"])
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_sweep_out_dash_writes_stdout(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", cfg, "--out", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("scenario,algorithm,m,trial,seed,snr_db,success,"
+                        "iterations,wall_ms,stop_reason")
+    assert len(lines) == 3
+    assert main(["project-eval", "--n", "8", "--k", "1", "--patterns", "uniform",
+                 "--backends", "threshold", "--trials", "1"]) == 0
+    assert capsys.readouterr().out.startswith("backend,pattern,trial,eps1,eps2,opt_residual")
+    assert not (tmp_path / "-").exists()
+
+
+def test_sweep_lapack_failure_writes_row_and_exits_3(tmp_path, capsys, monkeypatch):
+    real = np.linalg.lstsq
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("synthetic LAPACK breakdown")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", fails_once)
+    cfg = _write_config(tmp_path, text=SWEEP_CONFIG.replace("sscosamp-threshold", "omp"))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical failure: 1 of 2 runs" in capsys.readouterr().err
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert [row.endswith(",numerical_failure") for row in rows] == [True, False]
+
+
+@pytest.mark.parametrize("algorithm, owner, attr", [
+    ("omp", np.linalg, "lstsq"),
+    ("sscosamp-threshold", np.linalg, "svd"),
+    ("sscosamp-threshold", scipy.linalg, "qr"),
+])
+def test_recover_lapack_failure_exits_3(capsys, monkeypatch, algorithm, owner, attr):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic LAPACK breakdown")
+
+    monkeypatch.setattr(owner, attr, broken)
+    rc = main(["recover", "--scenario", "rescaled-identity", "--algorithm", algorithm,
+               "--n", "32", "--k", "2", "--m", "16"])
+    assert rc == 3
+    assert "numerical failure:" in capsys.readouterr().err

@@ -205,3 +205,36 @@ def test_save_load_matrix_roundtrip(tmp_path):
     save_matrix(p2, cplx)
     assert np.array_equal(load_matrix(p1), real)
     assert np.array_equal(load_matrix(p2), cplx)
+
+
+def _complex_vector(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def test_analysis_is_bit_equal_to_adjoint_product():
+    rng = np.random.default_rng(8)
+    M = rng.standard_normal((12, 30)) + 1j * rng.standard_normal((12, 30))
+    for D in (Dictionary(M), build_rescaled_identity(16, 100.0)):
+        z = _complex_vector(rng, D.n)
+        expected = D.matrix.conj().T @ z
+        assert np.array_equal(D.analysis(z), expected)
+        assert np.array_equal(D.analysis(z), expected)  # cached conjugate reused
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 256])
+@pytest.mark.parametrize("redundancy", [1, 2, 4])
+def test_dft_analysis_matches_adjoint_product(n, redundancy):
+    D = build_overcomplete_dft(n, redundancy)
+    z = _complex_vector(np.random.default_rng(n * 10 + redundancy), n)
+    expected = D.matrix.conj().T @ z
+    got = D.analysis(z)
+    assert got.shape == (D.d,)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_hand_built_dft_kind_keeps_matrix_path():
+    rng = np.random.default_rng(9)
+    M = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
+    D = Dictionary(M, kind="dft")
+    z = _complex_vector(rng, 8)
+    assert np.array_equal(D.analysis(z), M.conj().T @ z)
