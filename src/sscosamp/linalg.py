@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -26,6 +27,12 @@ __all__ = [
 # Pivot magnitudes below this fraction of the largest pivot are treated as
 # rank-deficient directions and dropped from projector bases.
 DEFAULT_RANK_TOL = 1e-10
+
+# A QR solve answers the update fit only when the ztrcon estimate of R's
+# reciprocal condition number exceeds this.  The SVD path's rank cutoff is
+# max(m, t) * eps (about 3e-14 at m = 128), so above this floor the SVD would
+# truncate nothing and return the same plain least-squares solution.
+QR_RCOND_MIN = 1e-10
 
 
 def lstsq(cols, y):
@@ -137,6 +144,33 @@ def build_projector(cols, rank_tol=DEFAULT_RANK_TOL, support=()):
     return OrthoProjector(basis=np.ascontiguousarray(Q[:, :rank]), support=tuple(support))
 
 
+def _qr_lstsq(M, y):
+    """Least-squares solution of a tall, well-conditioned ``M`` by Householder QR.
+
+    Returns None when ``M`` is wide, when R's reciprocal condition estimate
+    is at or below ``QR_RCOND_MIN``, or when LAPACK reports an error; the
+    caller then takes the SVD path.  ``ztrcon`` and ``ztrtrs`` read only the
+    upper triangle, so R needs no ``np.triu`` copy.  ``ztrcon`` is given the
+    leading t rows: its wrapper misreads the condition of a tall array.
+    """
+    m, t = M.shape
+    if m < t:
+        return None
+    qr, tau, _, info = lapack.zgeqrf(M)
+    if info != 0:
+        return None
+    rcond, info = lapack.ztrcon(qr[:t])
+    if info != 0 or not rcond > QR_RCOND_MIN:
+        return None
+    qhy, _, info = lapack.zunmqr("L", "C", qr, tau, y[:, None], 1)
+    if info != 0:
+        return None
+    beta, info = lapack.ztrtrs(qr, qhy)
+    if info != 0:
+        return None
+    return beta[:t, 0]
+
+
 def _ridge_constrained(M, y, norm_bound, tol, max_bisect):
     """Minimize ||y - M b|| subject to ||b|| <= norm_bound.
 
@@ -192,9 +226,12 @@ def _ridge_constrained(M, y, norm_bound, tol, max_bisect):
 def tikhonov_lsq(A, cols, y, norm_bound, tol=1e-9, max_bisect=200):
     """Norm-constrained least squares over a dictionary submatrix.
 
-    Solves ``min_b ||y - A @ cols @ b||  s.t.  ||b|| <= norm_bound`` via
-    ridge regularization, with the ridge parameter found by bisection on the
-    constraint.  The synthesized signal is ``cols @ b``.
+    Solves ``min_b ||y - A @ cols @ b||  s.t.  ||b|| <= norm_bound``.  A tall,
+    well-conditioned system whose plain least-squares solution lies inside
+    the bound is answered by one Householder QR.  Every other system goes
+    through the SVD: minimum-norm truncation, then ridge regularization with
+    the ridge parameter found by bisection on the constraint.  The
+    synthesized signal is ``cols @ b``.
 
     Parameters
     ----------
@@ -235,6 +272,9 @@ def tikhonov_lsq(A, cols, y, norm_bound, tol=1e-9, max_bisect=200):
         if A.shape[0] != y.shape[0]:
             raise InvalidInputError("A row count does not match y length")
         M = A @ cols
+    beta = _qr_lstsq(M, y)
+    if beta is not None and np.linalg.norm(beta) <= norm_bound * (1.0 + tol):
+        return beta
     return _ridge_constrained(M, y, norm_bound, tol, max_bisect)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InstanceTooLargeError, InvalidInputError, NumericalFailureError
-from .linalg import build_projector, lstsq
+from .linalg import build_projector, lstsq, tikhonov_lsq
 
 __all__ = [
     "ThresholdBackend",
@@ -45,7 +45,7 @@ EPS_DENOMINATOR_FLOOR = 1e-12
 def top_k(scores, k):
     """Indices of the k largest scores, lowest index first among ties."""
     order = np.argsort(-np.asarray(scores), kind="stable")
-    return tuple(sorted(int(i) for i in order[:k]))
+    return tuple(np.sort(order[:k]).tolist())
 
 
 def _check_projection_args(dictionary, z, k):
@@ -263,8 +263,6 @@ def _lsq_fit(cols, z, norm_bound):
     """Least-squares coefficients for z ~ cols @ beta, optionally norm-capped."""
     if math.isinf(norm_bound):
         return lstsq(cols, z)
-    from .linalg import tikhonov_lsq
-
     return tikhonov_lsq(None, cols, z, norm_bound)
 
 

@@ -231,34 +231,39 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
     if 2 * k > d:
         raise InvalidInputError(f"identification needs 2k <= d, got k={k}, d={d}")
     Phi_adj = Phi.conj().T
+    D = dictionary.matrix
     y = measurements.y
     y_norm = float(np.linalg.norm(y))
     gamma = ()
     alpha = np.zeros(d, dtype=np.complex128)
+    x = np.zeros(dictionary.n, dtype=np.complex128)
     residual = y.copy()
     records = []
     stop_reason = STOP_MAX_ITERS
     for it in range(max_iters):
         h = Phi_adj @ residual
         omega = top_k(np.abs(h), 2 * k)
-        merged = tuple(sorted(set(omega) | set(gamma)))
-        beta = tikhonov_lsq(None, Phi[:, list(merged)], y, norm_bound)
+        merged = sorted(set(omega) | set(gamma))
+        beta = tikhonov_lsq(None, Phi[:, merged], y, norm_bound)
         dense = np.zeros(d, dtype=np.complex128)
-        dense[list(merged)] = beta
+        dense[merged] = beta
         gamma = top_k(np.abs(dense), k)
+        # synthesize on the support, not through the dense matrices
+        kept = list(gamma)
+        coef = dense[kept]
         alpha_new = np.zeros(d, dtype=np.complex128)
-        alpha_new[list(gamma)] = dense[list(gamma)]
+        alpha_new[kept] = coef
         _guard_finite(alpha_new, "coefficient iterate", it)
-        residual = y - Phi @ alpha_new
+        residual = y - Phi[:, kept] @ coef
         res_norm = float(np.linalg.norm(residual))
-        x_new = dictionary.matrix @ alpha_new
+        x_new = D[:, kept] @ coef
         records.append(
             IterationRecord(
                 iteration=it,
                 proxy_norm=float(np.linalg.norm(h)),
                 identify_support=omega,
-                merged_support=merged,
-                x_tilde=dictionary.matrix @ dense,
+                merged_support=tuple(merged),
+                x_tilde=D[:, merged] @ beta,
                 pruned_support=gamma,
                 estimate=x_new,
                 residual_norm=res_norm,
@@ -266,6 +271,7 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
         )
         step = float(np.linalg.norm(alpha_new - alpha))
         alpha = alpha_new
+        x = x_new
         if res_norm <= residual_tol * y_norm:
             stop_reason = STOP_RESIDUAL
             break
@@ -274,7 +280,7 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
             break
     return RecoveryTrace(
         algorithm="cosamp",
-        x_hat=dictionary.matrix @ alpha,
+        x_hat=x,
         iterations_run=len(records),
         stop_reason=stop_reason,
         records=tuple(records),

@@ -3,13 +3,15 @@
 Every test prints one ``[criterion N] PASS/FAIL`` line with the measured
 numbers before asserting, so the gate's verdicts are visible in the pytest
 report (the default addopts include -rP) whether or not a criterion holds.
-The Monte-Carlo criteria (3-5) pin master_seed=2026 and take a few minutes.
+The Monte-Carlo criteria (3-5) pin master_seed=2026, take a few minutes and
+carry the ``slow`` marker (`pytest -m "not slow"` leaves them out).
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 from sscosamp import (
     Dictionary,
@@ -82,6 +84,7 @@ def test_criterion_2_adjacent_dft_coherence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_rescaled_identity_phase_transition():
     start = time.perf_counter()
     result = run_sweep(SweepConfig(
@@ -105,6 +108,7 @@ def test_criterion_3_rescaled_identity_phase_transition():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_separated_supports_ordering():
     start = time.perf_counter()
     result = run_sweep(SweepConfig(
@@ -123,6 +127,7 @@ def test_criterion_4_separated_supports_ordering():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_clustered_supports_ordering():
     start = time.perf_counter()
     result = run_sweep(SweepConfig(

@@ -158,6 +158,10 @@ def test_lapack_failure_is_one_failed_row(monkeypatch, owner, attr):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, attr, fails_once)
+    if attr == "svd":
+        # the update fit answers well-conditioned systems by QR and reaches
+        # the SVD when that attempt reports a LAPACK error
+        monkeypatch.setattr(scipy.linalg.lapack, "zgeqrf", lambda a: (a, None, None, -1))
     cfg = SweepConfig(**{**TINY, "algorithms": ("omp", "sscosamp-threshold")})
     result = run_sweep(cfg)
     assert len(result.rows) == 6

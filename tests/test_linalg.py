@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from sscosamp import (
     InvalidInputError,
+    build_overcomplete_dft,
     build_projector,
     operator_norm,
     tikhonov_lsq,
@@ -144,6 +146,76 @@ def test_tikhonov_infinite_bound_gives_min_norm_solution():
     beta = tikhonov_lsq(None, M, y, norm_bound=np.inf)
     oracle, *_ = np.linalg.lstsq(M, y, rcond=None)
     assert np.linalg.norm(beta - oracle) < 1e-10
+
+
+def _svd_min_norm(M, y):
+    """Truncated minimum-norm solution with the SVD path's rank cutoff."""
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    live = s > max(M.shape) * np.finfo(np.float64).eps * s[0]
+    c = U.conj().T @ y
+    return Vh.conj().T @ np.where(live, c / np.where(live, s, 1.0), 0.0), int(live.sum())
+
+
+def _tall_well_conditioned(seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((64, 96))
+    cols = _random_complex(rng, 96, 24)
+    y = _random_complex(rng, 64)
+    return A, cols, y
+
+
+def test_tikhonov_tall_well_conditioned_matches_lstsq():
+    A, cols, y = _tall_well_conditioned(12)
+    oracle, *_ = np.linalg.lstsq(A @ cols, y, rcond=None)
+    beta = tikhonov_lsq(A, cols, y, norm_bound=10.0 * np.linalg.norm(oracle))
+    assert np.linalg.norm(beta - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_tikhonov_ill_conditioned_keeps_truncated_min_norm():
+    # 24 adjacent atoms of a 4x-redundant DFT: cond about 1e14, so the SVD
+    # cutoff drops directions a plain triangular solve would blow up
+    D = build_overcomplete_dft(256, 4)
+    cols = D.columns(range(100, 124))
+    y = _random_complex(np.random.default_rng(13), 256)
+    oracle, live = _svd_min_norm(cols, y)
+    assert live < 24
+    beta = tikhonov_lsq(None, cols, y, norm_bound=np.inf)
+    assert np.linalg.norm(beta - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_tikhonov_wide_system_gives_min_norm_solution():
+    rng = np.random.default_rng(14)
+    M = _random_complex(rng, 8, 12)
+    y = _random_complex(rng, 8)
+    oracle, live = _svd_min_norm(M, y)
+    assert live == 8
+    beta = tikhonov_lsq(None, M, y, norm_bound=np.inf)
+    assert np.linalg.norm(beta - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert np.linalg.norm(M @ beta - y) <= 1e-10 * np.linalg.norm(y)
+
+
+def test_tikhonov_tall_well_conditioned_bound_active_lands_on_bound():
+    A, cols, y = _tall_well_conditioned(15)
+    free, *_ = np.linalg.lstsq(A @ cols, y, rcond=None)
+    bound = 0.3 * np.linalg.norm(free)
+    beta = tikhonov_lsq(A, cols, y, norm_bound=bound)
+    assert abs(np.linalg.norm(beta) - bound) <= 1e-8 * bound
+
+
+def test_tikhonov_lapack_qr_failure_falls_back_to_svd(monkeypatch):
+    A, cols, y = _tall_well_conditioned(16)
+    calls = []
+
+    def failing_zgeqrf(a, *args, **kwargs):
+        calls.append(a.shape)
+        return a, np.zeros(min(a.shape), dtype=np.complex128), np.zeros(1), -1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgeqrf", failing_zgeqrf)
+    oracle, live = _svd_min_norm(A @ cols, y)
+    beta = tikhonov_lsq(A, cols, y, norm_bound=np.inf)
+    assert calls == [(64, 24)]
+    assert live == 24
+    assert np.array_equal(beta, oracle)
 
 
 def test_tikhonov_input_validation():

@@ -26,6 +26,7 @@ from sscosamp import (
     project_support,
     synthesize,
 )
+from sscosamp.projections import top_k
 
 ALL_BACKENDS = [
     ThresholdBackend(),
@@ -235,3 +236,16 @@ def test_make_backend_known_names():
     assert isinstance(make_backend("cosamp"), CoSaMPBackend)
     assert isinstance(make_backend("l1"), L1Backend)
     assert isinstance(make_backend("exhaustive"), ExhaustiveBackend)
+
+
+def test_top_k_tie_heavy_matches_lowest_index_reference():
+    # values rounded to 0.1 so most scores tie; every k from 1 to len
+    rng = np.random.default_rng(41)
+    for length in (1, 7, 32, 100):
+        for _ in range(5):
+            v = np.round(rng.uniform(0.0, 0.5, length), 1)
+            ranked = sorted(range(length), key=lambda i: (-v[i], i))
+            for k in range(1, length + 1):
+                got = top_k(v, k)
+                assert got == tuple(sorted(ranked[:k]))
+                assert all(type(i) is int for i in got)

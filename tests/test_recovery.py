@@ -26,6 +26,7 @@ from sscosamp import (
     snr_db,
     sscosamp,
     synthesize,
+    tikhonov_lsq,
     trace_to_csv,
 )
 
@@ -209,6 +210,40 @@ def test_cosamp_and_sscosamp_agree_on_orthonormal_dictionary():
     t1 = cosamp_baseline(A, D, meas, k=1)
     t2 = sscosamp(A, D, meas, SSCoSaMPConfig(k=1))
     assert t1.records[-1].pruned_support == t2.records[-1].pruned_support
+
+
+@pytest.mark.parametrize("case", ["rescaled-identity", "dft"])
+def test_cosamp_synthesis_on_support_matches_dense_products(case):
+    if case == "rescaled-identity":
+        D = build_rescaled_identity(64, 100.0)
+        A = draw_gaussian_sensing(24, 64, 31)
+        coeffs = draw_sparse_coefficients(64, 4, "uniform", 32, complex_values=False)
+        norm_bound = 10.0 * coeffs.norm()
+    else:
+        D = build_overcomplete_dft(32, 2)
+        A = draw_gaussian_sensing(20, 32, 33)
+        coeffs = draw_sparse_coefficients(64, 3, "uniform", 34)
+        norm_bound = math.inf
+    meas = measure(A, synthesize(D, coeffs), 0.0)
+    trace = cosamp_baseline(A, D, meas, k=coeffs.sparsity, max_iters=6, norm_bound=norm_bound)
+    Phi = A.matrix @ D.matrix
+    y = meas.y
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1e-300)
+
+    alpha = np.zeros(D.d, dtype=complex)
+    for rec in trace.records:
+        merged = list(rec.merged_support)
+        dense = np.zeros(D.d, dtype=complex)
+        dense[merged] = tikhonov_lsq(None, Phi[:, merged], y, norm_bound)
+        alpha = np.zeros(D.d, dtype=complex)
+        alpha[list(rec.pruned_support)] = dense[list(rec.pruned_support)]
+        assert close(rec.x_tilde, D.matrix @ dense)
+        assert close(rec.estimate, D.matrix @ alpha)
+        assert abs(rec.residual_norm - np.linalg.norm(y - Phi @ alpha)) <= 1e-12 * np.linalg.norm(y)
+    assert trace.records
+    assert close(trace.x_hat, D.matrix @ alpha)
 
 
 def test_omp_one_sparse_exact_in_one_step():
