@@ -6,16 +6,15 @@ measurement for dictionary-sparse signals, the model-mismatch quantity, and
 the upper-isometry tail inequality.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceTooLargeError, InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError
 from .linalg import build_projector, lstsq
 from .model import SparseCoefficients
-from .projections import OMPBackend, project_support
+from .projections import OMPBackend, enumerate_supports, project_support
 
 __all__ = [
     "snr_db",
@@ -167,32 +166,29 @@ def drip_estimate(A, dictionary, k, trials, seed):
     return DRipEstimate(order_k=int(k), delta_lower=worst, trials=int(trials), seed=seed)
 
 
-def drip_exact(A, dictionary, k, enumeration_cap=2_000_000):
+def drip_exact(A, dictionary, k):
     """Exact order-k isometry constant by enumerating every support.
 
     For each support, extremal values of ||A w|| over unit w in the span of
     the selected columns come from the eigenvalues of Q^H A^H A Q with Q an
-    orthonormal basis of the span.  Only feasible for small d.
+    orthonormal basis of the span.  Only feasible for small d: refuses more
+    than ``projections.DEFAULT_ENUMERATION_CAP`` supports.
     """
     if not 1 <= k <= dictionary.d:
         raise InvalidInputError(f"need 1 <= k <= d={dictionary.d}")
     if A.n != dictionary.n:
         raise InvalidInputError("sensing matrix and dictionary disagree on n")
-    n_supports = math.comb(dictionary.d, k)
-    if n_supports > enumeration_cap:
-        raise InstanceTooLargeError(
-            f"C({dictionary.d},{k}) = {n_supports} supports exceeds cap {enumeration_cap}"
-        )
+    supports = enumerate_supports(dictionary.d, k)
     gram = A.matrix.T @ A.matrix
     worst = 0.0
-    for support in itertools.combinations(range(dictionary.d), k):
+    for support in supports:
         Q = build_projector(dictionary.columns(support), support=support).basis
         if Q.shape[1] == 0:
             continue
         eigs = np.linalg.eigvalsh(Q.conj().T @ gram @ Q)
         worst = max(worst, abs(float(eigs[-1]) - 1.0), abs(float(eigs[0]) - 1.0))
-    return DRipEstimate(order_k=int(k), delta_lower=worst, trials=n_supports, seed=None,
-                        exhaustive=True)
+    return DRipEstimate(order_k=int(k), delta_lower=worst, trials=math.comb(dictionary.d, k),
+                        seed=None, exhaustive=True)
 
 
 @dataclass(frozen=True)
@@ -212,10 +208,11 @@ class MismatchReport:
     upper_bound: bool = True
 
 
-def mismatch(dictionary, x, k, greedy=False, enumeration_cap=2_000_000):
+def mismatch(dictionary, x, k, greedy=False):
     """Evaluate the model-mismatch quantity for x at sparsity k.
 
-    Exhaustive mode scans every size-k support; ``greedy=True`` instead
+    Exhaustive mode scans every size-k support and refuses more than
+    ``projections.DEFAULT_ENUMERATION_CAP`` of them; ``greedy=True`` instead
     scores only the support chosen by the greedy pursuit backend, which is
     a (possibly looser) upper bound usable on large instances.
     """
@@ -227,13 +224,7 @@ def mismatch(dictionary, x, k, greedy=False, enumeration_cap=2_000_000):
     if greedy:
         candidates = [project_support(OMPBackend(), dictionary, x, k)]
     else:
-        n_supports = math.comb(dictionary.d, k)
-        if n_supports > enumeration_cap:
-            raise InstanceTooLargeError(
-                f"C({dictionary.d},{k}) = {n_supports} supports exceeds cap "
-                f"{enumeration_cap}; pass greedy=True for an upper bound"
-            )
-        candidates = itertools.combinations(range(dictionary.d), k)
+        candidates = enumerate_supports(dictionary.d, k)
     best = math.inf
     best_support = None
     best_coeffs = None

@@ -22,8 +22,6 @@ import numpy as np
 from .analysis import snr_db
 from .errors import InvalidInputError, NumericalFailureError
 from .model import (
-    SparseCoefficients,
-    _separated_support,
     build_overcomplete_dft,
     build_rescaled_identity,
     draw_gaussian_sensing,
@@ -48,12 +46,16 @@ __all__ = [
     "TrialResult",
     "AggregateRow",
     "SweepResult",
+    "run_algorithm",
+    "draw_instance",
     "run_sweep",
     "write_sweep_csv",
     "write_aggregate_csv",
+    "trace_to_csv",
     "ProjectionStudyRow",
     "run_projection_study",
     "write_quality_csv",
+    "format_snr",
 ]
 
 SWEEP_COLUMNS = ["scenario", "algorithm", "m", "trial", "seed", "snr_db",
@@ -95,34 +97,11 @@ class ScenarioSpec:
         return build_dictionary(self.dictionary_kind, n, self.redundancy, self.scale)
 
     def draw_coefficients(self, d, k, seed):
-        rng = np.random.default_rng(seed)
-        if self.pattern == "hybrid":
-            support = _hybrid_support(rng, d, k, self.min_gap)
-            values = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2.0)
-            return SparseCoefficients(support=tuple(int(i) for i in support),
-                                      values=values, ambient_dim=d)
         return draw_sparse_coefficients(
-            d, k, self.pattern, rng,
+            d, k, self.pattern, seed,
             min_gap=self.min_gap, cyclic=self.cyclic,
             complex_values=self.complex_values,
         )
-
-
-def _hybrid_support(rng, d, k, min_gap):
-    """Half the indices well-separated, the rest one contiguous block."""
-    n_sep = k // 2
-    n_block = k - n_sep
-    for _ in range(10_000):
-        parts = []
-        if n_sep:
-            parts.append(_separated_support(rng, d, n_sep, min_gap, False))
-        start = int(rng.integers(0, d - n_block + 1))
-        parts.append(np.arange(start, start + n_block))
-        support = np.union1d(*parts) if len(parts) == 2 else parts[0]
-        if support.size == k:
-            return support
-    raise NumericalFailureError("hybrid support sampling: rejection loop exhausted",
-                                diagnostics={"d": d, "k": k, "min_gap": min_gap})
 
 
 SCENARIOS = {
@@ -257,7 +236,8 @@ class SweepResult:
         return sum(r.success for r in rows) / len(rows)
 
 
-def _run_algorithm(name, A, dictionary, meas, k, norm_bound, max_iters):
+def run_algorithm(name, A, dictionary, meas, k, norm_bound, max_iters):
+    """Run one algorithm of ``KNOWN_ALGORITHMS`` on one instance."""
     if name == "cosamp":
         return cosamp_baseline(A, dictionary, meas, k,
                                max_iters=max_iters, norm_bound=norm_bound)
@@ -276,6 +256,25 @@ def _run_algorithm(name, A, dictionary, meas, k, norm_bound, max_iters):
     return sscosamp(A, dictionary, meas, cfg)
 
 
+def draw_instance(cfg, dictionary, m, trial):
+    """Draw trial ``trial`` of ``cfg``'s scenario at m measurements.
+
+    Returns ``(A, x, measurements, norm_bound, seed)``, where ``seed`` is
+    the sweep CSV's seed column: the first uint64 of
+    ``SeedSequence((master_seed, scenario_id, m, trial))``.
+    """
+    scenario = SCENARIOS[cfg.scenario]
+    root = np.random.SeedSequence((cfg.master_seed, scenario.scenario_id, m, trial))
+    seed_u64 = int(root.generate_state(1, np.uint64)[0])
+    seed_sensing, seed_coeffs, seed_noise = root.spawn(3)
+    A = draw_gaussian_sensing(m, cfg.n, seed_sensing)
+    coeffs = scenario.draw_coefficients(dictionary.d, cfg.k, seed_coeffs)
+    x = synthesize(dictionary, coeffs)
+    meas = measure(A, x, cfg.noise_norm, seed_noise)
+    norm_bound = cfg.tikhonov_bound_factor * max(coeffs.norm(), 1e-12)
+    return A, x, meas, norm_bound, seed_u64
+
+
 def run_sweep(cfg):
     """Execute a sweep and return per-trial rows plus the config.
 
@@ -289,19 +288,12 @@ def run_sweep(cfg):
     rows = []
     for m in cfg.m_grid:
         for trial in range(cfg.trials):
-            root = np.random.SeedSequence((cfg.master_seed, scenario.scenario_id, m, trial))
-            seed_u64 = int(root.generate_state(1, np.uint64)[0])
-            seed_sensing, seed_coeffs, seed_noise = root.spawn(3)
-            A = draw_gaussian_sensing(m, cfg.n, seed_sensing)
-            coeffs = scenario.draw_coefficients(dictionary.d, cfg.k, seed_coeffs)
-            x = synthesize(dictionary, coeffs)
-            meas = measure(A, x, cfg.noise_norm, seed_noise)
-            norm_bound = cfg.tikhonov_bound_factor * max(coeffs.norm(), 1e-12)
+            A, x, meas, norm_bound, seed_u64 = draw_instance(cfg, dictionary, m, trial)
             for alg in cfg.algorithms:
                 start = time.perf_counter()
                 try:
-                    trace = _run_algorithm(alg, A, dictionary, meas, cfg.k,
-                                           norm_bound, max_iters)
+                    trace = run_algorithm(alg, A, dictionary, meas, cfg.k,
+                                          norm_bound, max_iters)
                     wall_ms = (time.perf_counter() - start) * 1e3
                     snr = snr_db(x, trace.x_hat)
                     rows.append(
@@ -336,11 +328,12 @@ def open_output(path):
             yield fh
 
 
-def _fmt_snr(value):
+def format_snr(value):
+    """An SNR in dB as ``%.6f``, or the tokens ``nan``, ``inf`` and ``-inf``."""
     if math.isnan(value):
         return "nan"
     if math.isinf(value):
-        return "inf"
+        return "inf" if value > 0 else "-inf"
     return f"{value:.6f}"
 
 
@@ -361,7 +354,7 @@ def write_sweep_csv(result, path, include_timing=False):
                 row.m,
                 row.trial,
                 row.seed,
-                _fmt_snr(row.snr_db),
+                format_snr(row.snr_db),
                 int(row.success),
                 row.iterations,
                 f"{row.wall_ms:.3f}" if include_timing else "0.000",
@@ -382,10 +375,31 @@ def write_aggregate_csv(result, path, include_timing=False):
                 agg.m,
                 agg.trials,
                 f"{agg.success_rate:.6f}",
-                _fmt_snr(agg.mean_snr_db),
+                format_snr(agg.mean_snr_db),
                 f"{agg.mean_iterations:.3f}",
                 f"{agg.mean_wall_ms:.3f}" if include_timing else "0.000",
             ])
+
+
+def trace_to_csv(trace, path, x_true=None):
+    """Write one CSV row per iteration (supports semicolon-joined).
+
+    Columns: iter, residual_norm, error_to_truth (blank without truth),
+    pruned_support.  A ``path`` of "-" writes standard output.
+    """
+    errors = trace.errors_to(x_true) if x_true is not None else None
+    with open_output(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "residual_norm", "error_to_truth", "pruned_support"])
+        for idx, rec in enumerate(trace.records):
+            writer.writerow(
+                [
+                    rec.iteration,
+                    f"{rec.residual_norm:.17g}",
+                    "" if errors is None else f"{errors[idx]:.17g}",
+                    ";".join(str(i) for i in rec.pruned_support),
+                ]
+            )
 
 
 @dataclass(frozen=True)

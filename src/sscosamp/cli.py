@@ -14,7 +14,6 @@ codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -25,9 +24,13 @@ from .bench import (
     STOP_NUMERICAL_FAILURE,
     SweepConfig,
     build_dictionary,
+    draw_instance,
+    format_snr,
     open_output,
+    run_algorithm,
     run_projection_study,
     run_sweep,
+    trace_to_csv,
     write_aggregate_csv,
     write_quality_csv,
     write_sweep_csv,
@@ -37,9 +40,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .model import draw_gaussian_sensing, measure, synthesize
-from .recovery import trace_to_csv
-from .bench import _run_algorithm
+from .model import draw_gaussian_sensing
 
 __all__ = ["main", "parse_config_file"]
 
@@ -113,7 +114,7 @@ def _cmd_sweep(args):
             {
                 "scenario": r.scenario, "algorithm": r.algorithm, "m": r.m,
                 "trial": r.trial, "seed": r.seed,
-                "snr_db": _token(r.snr_db),
+                "snr_db": format_snr(r.snr_db),
                 "success": int(r.success), "iterations": r.iterations,
                 "wall_ms": round(r.wall_ms, 3) if args.timing else 0.0,
                 "stop_reason": r.stop_reason,
@@ -130,14 +131,6 @@ def _cmd_sweep(args):
         print(f"numerical failure: {failed} of {len(result.rows)} runs", file=sys.stderr)
         return 3
     return 0
-
-
-def _token(value):
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.6f}"
 
 
 def _write_text(path, text):
@@ -184,23 +177,16 @@ def _cmd_drip(args):
 
 
 def _cmd_recover(args):
-    if args.scenario not in SCENARIOS:
-        raise InvalidInputError(
-            f"unknown scenario {args.scenario!r}; choose from {sorted(SCENARIOS)}"
-        )
-    scenario = SCENARIOS[args.scenario]
-    dictionary = scenario.build_dictionary(args.n)
-    root = np.random.SeedSequence((args.seed if args.seed is not None else 0,
-                                   scenario.scenario_id, args.m, 0))
-    seed_sensing, seed_coeffs, seed_noise = root.spawn(3)
-    A = draw_gaussian_sensing(args.m, args.n, seed_sensing)
-    coeffs = scenario.draw_coefficients(dictionary.d, args.k, seed_coeffs)
-    x = synthesize(dictionary, coeffs)
-    meas = measure(A, x, args.noise_norm, seed_noise)
-    norm_bound = 10.0 * max(coeffs.norm(), 1e-12)
-    max_iters = args.max_iters if args.max_iters > 0 else scenario.default_max_iters
-    trace = _run_algorithm(args.algorithm, A, dictionary, meas, args.k,
-                           norm_bound, max_iters)
+    cfg = SweepConfig(
+        scenario=args.scenario, n=args.n, k=args.k, m_grid=(args.m,), trials=1,
+        algorithms=(args.algorithm,), noise_norm=args.noise_norm,
+        master_seed=args.seed if args.seed is not None else 0, max_iters=args.max_iters,
+    )
+    scenario = SCENARIOS[cfg.scenario]
+    dictionary = scenario.build_dictionary(cfg.n)
+    A, x, meas, norm_bound, _ = draw_instance(cfg, dictionary, args.m, 0)
+    max_iters = cfg.max_iters if cfg.max_iters > 0 else scenario.default_max_iters
+    trace = run_algorithm(args.algorithm, A, dictionary, meas, args.k, norm_bound, max_iters)
     out = [f"algorithm={trace.algorithm} m={args.m} n={args.n} k={args.k}"]
     out.append("iter,residual_norm,support")
     for rec in trace.records:
@@ -208,7 +194,7 @@ def _cmd_recover(args):
         out.append(f"{rec.iteration},{rec.residual_norm:.12e},{support}")
     out.append(
         f"stop_reason={trace.stop_reason} iterations={trace.iterations_run} "
-        f"snr_db={_token(snr_db(x, trace.x_hat))}"
+        f"snr_db={format_snr(snr_db(x, trace.x_hat))}"
     )
     _write_text(None, "\n".join(out) + "\n")
     if args.out:

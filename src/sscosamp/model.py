@@ -25,8 +25,6 @@ __all__ = [
     "synthesize",
     "draw_gaussian_sensing",
     "measure",
-    "save_matrix",
-    "load_matrix",
 ]
 
 # Guard against accidental requests for enormous dense dictionaries.
@@ -267,6 +265,23 @@ def _separated_support(rng, d, k, min_gap, cyclic):
     )
 
 
+def _hybrid_support(rng, d, k, min_gap, cyclic):
+    """Half the indices well-separated, the rest one contiguous block."""
+    n_sep = k // 2
+    n_block = k - n_sep
+    for _ in range(10_000):
+        parts = []
+        if n_sep:
+            parts.append(_separated_support(rng, d, n_sep, min_gap, cyclic))
+        start = int(rng.integers(0, d - n_block + 1))
+        parts.append(np.arange(start, start + n_block))
+        support = np.union1d(*parts) if len(parts) == 2 else parts[0]
+        if support.size == k:
+            return support
+    raise NumericalFailureError("hybrid support sampling: rejection loop exhausted",
+                                diagnostics={"d": d, "k": k, "min_gap": min_gap})
+
+
 def draw_sparse_coefficients(d, k, pattern, seed, min_gap=8, cyclic=False, complex_values=True):
     """Draw a random k-sparse coefficient vector.
 
@@ -274,14 +289,16 @@ def draw_sparse_coefficients(d, k, pattern, seed, min_gap=8, cyclic=False, compl
     ----------
     d, k : int
         Ambient dimension and sparsity (0 <= k <= d).
-    pattern : {"uniform", "separated", "clustered"}
+    pattern : {"uniform", "separated", "clustered", "hybrid"}
         Support model: uniform without replacement; well-separated with at
         least ``min_gap`` zeros between consecutive indices (``cyclic``
-        additionally enforces the wraparound gap); or a single block of k
-        consecutive indices at a uniformly random start.
+        additionally enforces the wraparound gap); a single block of k
+        consecutive indices at a uniformly random start; or k // 2
+        separated indices plus a block of the rest, redrawn until the two
+        do not overlap.
     seed : int, SeedSequence, or Generator
     min_gap : int
-        Minimum zero-run between support indices ("separated" only).
+        Minimum zero-run between separated support indices.
     cyclic : bool
         Treat the index range as a circle when checking separation.
     complex_values : bool
@@ -314,6 +331,8 @@ def draw_sparse_coefficients(d, k, pattern, seed, min_gap=8, cyclic=False, compl
     elif pattern == "clustered":
         start = int(rng.integers(0, d - k + 1))
         support = np.arange(start, start + k)
+    elif pattern == "hybrid":
+        support = _hybrid_support(rng, d, k, min_gap, cyclic)
     else:
         raise InvalidInputError(f"unknown support pattern: {pattern!r}")
     if complex_values:
@@ -373,46 +392,3 @@ def measure(A, x, noise_norm, seed=None):
             raise NumericalFailureError("degenerate noise draw")
         y = y + (noise_norm / ne) * e
     return Measurements(y=np.asarray(y, dtype=np.complex128), noise_norm=float(noise_norm))
-
-
-def save_matrix(path, M):
-    """Write a matrix to a small CSV-based format.
-
-    Line 1 is the header ``rows,cols,complex_flag``; each following line is
-    one row, comma-separated.  Complex entries are written as
-    ``<re>:<im>`` pairs; floats use repr precision so values round-trip
-    exactly.
-    """
-    M = np.asarray(M)
-    if M.ndim != 2:
-        raise InvalidInputError("save_matrix expects a 2-D array")
-    is_complex = bool(np.iscomplexobj(M))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{M.shape[0]},{M.shape[1]},{int(is_complex)}\n")
-        for row in M:
-            if is_complex:
-                cells = [f"{float(v.real)!r}:{float(v.imag)!r}" for v in row]
-            else:
-                cells = [repr(float(v)) for v in row]
-            fh.write(",".join(cells) + "\n")
-
-
-def load_matrix(path):
-    """Read a matrix written by :func:`save_matrix`."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 3:
-            raise InvalidInputError(f"malformed matrix header in {path}")
-        rows, cols, is_complex = (int(v) for v in header)
-        out = np.empty((rows, cols), dtype=np.complex128 if is_complex else np.float64)
-        for i in range(rows):
-            cells = fh.readline().strip().split(",")
-            if len(cells) != cols:
-                raise InvalidInputError(f"row {i} of {path} has {len(cells)} cells, expected {cols}")
-            if is_complex:
-                for j, cell in enumerate(cells):
-                    re, im = cell.split(":")
-                    out[i, j] = complex(float(re), float(im))
-            else:
-                out[i, :] = [float(c) for c in cells]
-    return out

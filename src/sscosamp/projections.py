@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InstanceTooLargeError, InvalidInputError, NumericalFailureError
-from .linalg import build_projector, lstsq, tikhonov_lsq
+from .linalg import build_projector, lstsq
 
 __all__ = [
     "ThresholdBackend",
@@ -33,10 +33,15 @@ __all__ = [
     "optimal_projection",
     "evaluate_projection_quality",
     "basis_pursuit_denoise",
+    "cosamp_steps",
+    "enumerate_supports",
 ]
 
 # Refuse exhaustive enumeration past this many candidate supports.
 DEFAULT_ENUMERATION_CAP = 2_000_000
+
+# Steps of the CoSaMP backend's inner loop before it returns its support.
+COSAMP_BACKEND_MAX_ITERS = 20
 
 # Ratio denominators smaller than this fraction of ||z|| report infinity.
 EPS_DENOMINATOR_FLOOR = 1e-12
@@ -46,6 +51,49 @@ def top_k(scores, k):
     """Indices of the k largest scores, lowest index first among ties."""
     order = np.argsort(-np.asarray(scores), kind="stable")
     return tuple(np.sort(order[:k]).tolist())
+
+
+def enumerate_supports(d, k):
+    """Every size-k support of range(d), in lexicographic order.
+
+    Raises InstanceTooLargeError when C(d, k) exceeds
+    ``DEFAULT_ENUMERATION_CAP`` (read at call time).
+    """
+    n_supports = math.comb(d, k)
+    if n_supports > DEFAULT_ENUMERATION_CAP:
+        raise InstanceTooLargeError(
+            f"C({d},{k}) = {n_supports} supports exceeds cap {DEFAULT_ENUMERATION_CAP}"
+        )
+    return itertools.combinations(range(d), k)
+
+
+def cosamp_steps(Phi, adjoint, fit, y, k):
+    """Classical CoSaMP steps (Needell & Tropp 2009) for y ~ Phi a.
+
+    ``adjoint(r)`` returns Phi^H r and ``fit(cols, y)`` the coefficients of
+    y on the given columns.  Each step forms the proxy, keeps its 2k largest
+    magnitudes, merges them with the current support, fits y on the merged
+    columns, prunes to the k largest coefficients and updates the residual.
+    It yields ``(proxy, omega, merged, beta, gamma, coef, residual)``:
+    ``merged`` is a sorted list, ``beta`` the fit on it, ``gamma`` the kept
+    support and ``coef`` its coefficients.  The generator never ends; the
+    caller decides when to stop.
+    """
+    d = Phi.shape[1]
+    gamma = ()
+    residual = y
+    while True:
+        proxy = adjoint(residual)
+        omega = top_k(np.abs(proxy), min(2 * k, d))
+        merged = sorted(set(omega) | set(gamma))
+        beta = fit(Phi[:, merged], y)
+        dense = np.zeros(d, dtype=np.complex128)
+        dense[merged] = beta
+        gamma = top_k(np.abs(dense), k)
+        kept = list(gamma)
+        coef = dense[kept]
+        residual = y - Phi[:, kept] @ coef
+        yield proxy, omega, merged, beta, gamma, coef, residual
 
 
 def _check_projection_args(dictionary, z, k):
@@ -97,37 +145,22 @@ class CoSaMPBackend:
     """Standard CoSaMP fitting z directly in D (identity sensing).
 
     Per the plain algorithm, identification and pruning threshold raw
-    coefficient magnitudes without column-norm correction.  ``norm_bound``
-    caps the coefficient norm of each inner least-squares fit; infinite by
-    default (plain least squares).
+    coefficient magnitudes without column-norm correction, and each step
+    fits z by plain least squares.  Stops when the support repeats, the
+    residual falls to 1e-12 ||z||, or after COSAMP_BACKEND_MAX_ITERS steps.
     """
-
-    max_iters: int = 20
-    norm_bound: float = math.inf
 
     def support(self, dictionary, z, k):
         z = _check_projection_args(dictionary, z, k)
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be >= 1")
-        D = dictionary.matrix
-        gamma = ()
-        residual = z
         z_norm = np.linalg.norm(z)
-        for _ in range(self.max_iters):
-            proxy = np.abs(dictionary.analysis(residual))
-            omega = top_k(proxy, min(2 * k, dictionary.d))
-            merged = tuple(sorted(set(omega) | set(gamma)))
-            fit = _lsq_fit(D[:, list(merged)], z, self.norm_bound)
-            dense = np.zeros(dictionary.d, dtype=np.complex128)
-            dense[list(merged)] = fit
-            new_gamma = top_k(np.abs(dense), k)
-            kept = list(new_gamma)
-            residual = z - D[:, kept] @ dense[kept]
-            if new_gamma == gamma or np.linalg.norm(residual) <= 1e-12 * z_norm:
-                gamma = new_gamma
-                break
+        gamma = ()
+        steps = cosamp_steps(dictionary.matrix, dictionary.analysis, lstsq, z, k)
+        for *_, new_gamma, _, residual in itertools.islice(steps, COSAMP_BACKEND_MAX_ITERS):
+            done = new_gamma == gamma or np.linalg.norm(residual) <= 1e-12 * z_norm
             gamma = new_gamma
-        return tuple(sorted(gamma))
+            if done:
+                break
+        return gamma
 
 
 @dataclass(frozen=True)
@@ -162,10 +195,8 @@ class L1Backend:
 class ExhaustiveBackend:
     """Exact argmin of the projection residual over all C(d, k) supports."""
 
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-
     def support(self, dictionary, z, k):
-        sup, _ = optimal_projection(dictionary, z, k, enumeration_cap=self.enumeration_cap)
+        sup, _ = optimal_projection(dictionary, z, k)
         return sup
 
 
@@ -178,14 +209,14 @@ _BACKENDS = {
 }
 
 
-def make_backend(name, **params):
+def make_backend(name):
     """Build a projection backend from its config-file name."""
     key = str(name).strip().lower()
     if key not in _BACKENDS:
         raise InvalidInputError(
             f"unknown projection backend {name!r}; choose from {sorted(_BACKENDS)}"
         )
-    return _BACKENDS[key](**params)
+    return _BACKENDS[key]()
 
 
 def project_support(backend, dictionary, z, k):
@@ -198,24 +229,20 @@ def project_support(backend, dictionary, z, k):
     return tuple(sorted(int(i) for i in support))
 
 
-def optimal_projection(dictionary, z, k, enumeration_cap=DEFAULT_ENUMERATION_CAP):
+def optimal_projection(dictionary, z, k):
     """Best k-column support by full enumeration (the testing oracle).
 
     Returns ``(support, projection)`` where projection is P z for the
     winning span.  Supports are visited in lexicographic order and ties keep
     the earliest, so the result is deterministic.  Refuses instances with
-    more than ``enumeration_cap`` candidate supports.
+    more than ``DEFAULT_ENUMERATION_CAP`` candidate supports.
     """
     z = _check_projection_args(dictionary, z, k)
-    n_supports = math.comb(dictionary.d, k)
-    if n_supports > enumeration_cap:
-        raise InstanceTooLargeError(
-            f"C({dictionary.d},{k}) = {n_supports} supports exceeds cap {enumeration_cap}"
-        )
+    candidates = enumerate_supports(dictionary.d, k)
     best_support = None
     best_proj = None
     best_residual = math.inf
-    for candidate in itertools.combinations(range(dictionary.d), k):
+    for candidate in candidates:
         P = build_projector(dictionary.columns(candidate), support=candidate)
         proj = P.apply(z)
         residual = float(np.linalg.norm(z - proj))
@@ -241,10 +268,10 @@ class ProjectionQuality:
     opt_residual: float
 
 
-def evaluate_projection_quality(dictionary, z, k, backend, enumeration_cap=DEFAULT_ENUMERATION_CAP):
+def evaluate_projection_quality(dictionary, z, k, backend):
     """Measure a backend's (eps1, eps2) against the exhaustive optimum."""
     z = _check_projection_args(dictionary, z, k)
-    opt_support, opt_proj = optimal_projection(dictionary, z, k, enumeration_cap=enumeration_cap)
+    opt_support, opt_proj = optimal_projection(dictionary, z, k)
     est_support = project_support(backend, dictionary, z, k)
     if est_support == opt_support:
         est_proj = opt_proj
@@ -257,13 +284,6 @@ def evaluate_projection_quality(dictionary, z, k, backend, enumeration_cap=DEFAU
     eps1 = gap / opt_size if opt_size > floor else math.inf
     eps2 = gap / opt_residual if opt_residual > floor else math.inf
     return ProjectionQuality(eps1=eps1, eps2=eps2, opt_residual=opt_residual)
-
-
-def _lsq_fit(cols, z, norm_bound):
-    """Least-squares coefficients for z ~ cols @ beta, optionally norm-capped."""
-    if math.isinf(norm_bound):
-        return lstsq(cols, z)
-    return tikhonov_lsq(None, cols, z, norm_bound)
 
 
 def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, tol_rel=1e-6):

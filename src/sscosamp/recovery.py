@@ -13,7 +13,6 @@ The main loop alternates four phases per iteration:
 * prune: pick the best k columns for the fitted signal and project onto them
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,13 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import build_projector, lstsq, tikhonov_lsq
-from .projections import ThresholdBackend, basis_pursuit_denoise, project_support, top_k
+from .projections import (
+    ThresholdBackend,
+    basis_pursuit_denoise,
+    cosamp_steps,
+    project_support,
+    top_k,
+)
 
 __all__ = [
     "SSCoSaMPConfig",
@@ -31,7 +36,6 @@ __all__ = [
     "cosamp_baseline",
     "omp_baseline",
     "l1_baseline",
-    "trace_to_csv",
 ]
 
 STOP_RESIDUAL = "residual_tol"
@@ -217,10 +221,11 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
                     norm_bound=math.inf, residual_tol=1e-12, stall_tol=1e-10):
     """Plain CoSaMP on the combined matrix A D, reported in signal space.
 
-    Identification and pruning threshold raw coefficient magnitudes of the
-    proxy (A D)^H r — no column renormalization, exactly the classical
-    algorithm.  The merged-support fit honors ``norm_bound`` like the main
-    algorithm's update step.
+    Runs :func:`~sscosamp.projections.cosamp_steps` with the proxy
+    (A D)^H r: identification and pruning threshold raw coefficient
+    magnitudes, no column renormalization, exactly the classical algorithm.
+    The merged-support fit honors ``norm_bound`` like the main algorithm's
+    update step.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -230,32 +235,22 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
     d = Phi.shape[1]
     if 2 * k > d:
         raise InvalidInputError(f"identification needs 2k <= d, got k={k}, d={d}")
-    Phi_adj = Phi.conj().T
     D = dictionary.matrix
     y = measurements.y
     y_norm = float(np.linalg.norm(y))
-    gamma = ()
     alpha = np.zeros(d, dtype=np.complex128)
     x = np.zeros(dictionary.n, dtype=np.complex128)
-    residual = y.copy()
     records = []
     stop_reason = STOP_MAX_ITERS
-    for it in range(max_iters):
-        h = Phi_adj @ residual
-        omega = top_k(np.abs(h), 2 * k)
-        merged = sorted(set(omega) | set(gamma))
-        beta = tikhonov_lsq(None, Phi[:, merged], y, norm_bound)
-        dense = np.zeros(d, dtype=np.complex128)
-        dense[merged] = beta
-        gamma = top_k(np.abs(dense), k)
-        # synthesize on the support, not through the dense matrices
+    steps = cosamp_steps(Phi, Phi.conj().T.__matmul__,
+                         lambda cols, rhs: tikhonov_lsq(None, cols, rhs, norm_bound), y, k)
+    for it, (h, omega, merged, beta, gamma, coef, residual) in zip(range(max_iters), steps):
         kept = list(gamma)
-        coef = dense[kept]
         alpha_new = np.zeros(d, dtype=np.complex128)
         alpha_new[kept] = coef
         _guard_finite(alpha_new, "coefficient iterate", it)
-        residual = y - Phi[:, kept] @ coef
         res_norm = float(np.linalg.norm(residual))
+        # synthesize on the support, not through the dense matrices
         x_new = D[:, kept] @ coef
         records.append(
             IterationRecord(
@@ -287,11 +282,10 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
     )
 
 
-def omp_baseline(A, dictionary, measurements, k, normalize=True):
+def omp_baseline(A, dictionary, measurements, k):
     """Greedy correlation pursuit on A D with per-step least-squares refit.
 
-    ``normalize`` divides correlations by the column norms of A D (the
-    conventional choice); disable to correlate against raw columns.
+    Correlations are divided by the column norms of A D.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -304,7 +298,7 @@ def omp_baseline(A, dictionary, measurements, k, normalize=True):
     y = measurements.y
     y_norm = float(np.linalg.norm(y))
     col_norms = np.linalg.norm(Phi, axis=0)
-    weights = np.where(col_norms > 0, col_norms, 1.0) if normalize else np.ones(d)
+    weights = np.where(col_norms > 0, col_norms, 1.0)
     # formed after the column norms so it never coexists with their temporaries
     Phi_adj = Phi.conj().T
     selected = []
@@ -405,24 +399,3 @@ def l1_baseline(A, dictionary, measurements, k, solver_tol=1e-6,
         stop_reason=stop,
         records=(record,),
     )
-
-
-def trace_to_csv(trace, path, x_true=None):
-    """Write one CSV row per iteration (supports semicolon-joined).
-
-    Columns: iter, residual_norm, error_to_truth (blank without truth),
-    pruned_support.
-    """
-    errors = trace.errors_to(x_true) if x_true is not None else None
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "residual_norm", "error_to_truth", "pruned_support"])
-        for idx, rec in enumerate(trace.records):
-            writer.writerow(
-                [
-                    rec.iteration,
-                    f"{rec.residual_norm:.17g}",
-                    "" if errors is None else f"{errors[idx]:.17g}",
-                    ";".join(str(i) for i in rec.pruned_support),
-                ]
-            )

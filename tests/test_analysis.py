@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sscosamp import projections
 from sscosamp import (
     Dictionary,
     ExhaustiveBackend,
@@ -240,7 +241,7 @@ def test_drip_estimate_monotone_in_trials():
     assert lo <= hi + 1e-15
 
 
-def test_drip_validation():
+def test_drip_validation(monkeypatch):
     A = draw_gaussian_sensing(4, 8, 0)
     D = build_overcomplete_dft(8, 1)
     with pytest.raises(InvalidInputError):
@@ -249,8 +250,9 @@ def test_drip_validation():
         drip_estimate(A, D, 9, trials=5, seed=0)
     with pytest.raises(InvalidInputError):
         drip_exact(A, build_overcomplete_dft(6, 1), 2)
+    monkeypatch.setattr(projections, "DEFAULT_ENUMERATION_CAP", 10)
     with pytest.raises(InstanceTooLargeError):
-        drip_exact(A, D, 4, enumeration_cap=10)
+        drip_exact(A, D, 4)
 
 
 def test_projected_gram_deviation_bounded_by_isometry_constant():
@@ -320,17 +322,18 @@ def test_mismatch_greedy_upper_bounds_exhaustive():
         assert quick.value >= full.value - 1e-12
 
 
-def test_mismatch_validation():
+def test_mismatch_validation(monkeypatch):
     D = build_overcomplete_dft(8, 2)
     x = np.ones(8)
     with pytest.raises(InvalidInputError):
         mismatch(D, x, 0)
     with pytest.raises(InvalidInputError):
         mismatch(D, np.ones(7), 2)
+    monkeypatch.setattr(projections, "DEFAULT_ENUMERATION_CAP", 10)
     with pytest.raises(InstanceTooLargeError):
-        mismatch(D, x, 4, enumeration_cap=10)
+        mismatch(D, x, 4)
     # greedy mode ignores the cap
-    assert mismatch(D, x, 4, greedy=True, enumeration_cap=10).value >= 0.0
+    assert mismatch(D, x, 4, greedy=True).value >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from sscosamp import (
     SweepResult,
     TrialResult,
     build_overcomplete_dft,
+    draw_sparse_coefficients,
     run_projection_study,
     run_sweep,
     write_aggregate_csv,
@@ -125,14 +126,14 @@ def test_aggregate_snr_clipping_and_nan_handling():
 
 
 def test_numerical_failure_recorded_not_raised(monkeypatch):
-    real = bench._run_algorithm
+    real = bench.run_algorithm
 
     def flaky(name, *args, **kwargs):
         if name == "cosamp":
             raise NumericalFailureError("synthetic breakdown", iteration=2)
         return real(name, *args, **kwargs)
 
-    monkeypatch.setattr(bench, "_run_algorithm", flaky)
+    monkeypatch.setattr(bench, "run_algorithm", flaky)
     result = run_sweep(SweepConfig(**TINY))
     failed = [r for r in result.rows if r.algorithm == "cosamp"]
     assert failed and all(r.stop_reason == "numerical_failure" for r in failed)
@@ -180,9 +181,7 @@ def test_hybrid_scenario_runs():
 
 def test_hybrid_support_mixes_block_and_separated():
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        support = bench._hybrid_support(rng, 128, 5, 8)
-        support = [int(i) for i in support]
+        support = list(draw_sparse_coefficients(128, 5, "hybrid", seed, min_gap=8).support)
         assert len(support) == 5
         assert support == sorted(set(support))
         assert all(0 <= i < 128 for i in support)

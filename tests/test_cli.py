@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sscosamp import InvalidInputError
+from sscosamp import InvalidInputError, SweepConfig, run_sweep
+from sscosamp.bench import format_snr
 from sscosamp.cli import build_sweep_config, main, parse_config_file
 
 SWEEP_CONFIG = """\
@@ -262,3 +263,35 @@ def test_recover_lapack_failure_exits_3(capsys, monkeypatch, algorithm, owner, a
                "--n", "32", "--k", "2", "--m", "16"])
     assert rc == 3
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_recover_out_dash_writes_trace_csv_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["recover", "--scenario", "dft-separated", "--n", "32", "--k", "2",
+                 "--m", "24", "--seed", "5", "--out", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "iter,residual_norm,error_to_truth,pruned_support" in lines
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("algorithm, expected", [
+    ("sscosamp-omp", ("3", "residual_tol", "308.691276")),
+    ("cosamp", ("2", "residual_tol", "304.589890")),
+])
+def test_recover_matches_sweep_trial_0(capsys, algorithm, expected):
+    # recover and run_sweep draw their instances with the same builder
+    assert main(["recover", "--scenario", "dft-separated", "--algorithm", algorithm,
+                 "--n", "32", "--k", "2", "--m", "24", "--seed", "5"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    fields = dict(item.split("=") for item in last.split())
+    printed = (fields["iterations"], fields["stop_reason"], fields["snr_db"])
+    result = run_sweep(SweepConfig(scenario="dft-separated", n=32, k=2, m_grid=(24,),
+                                   trials=1, algorithms=(algorithm,), master_seed=5))
+    (row,) = result.rows
+    assert printed == (str(row.iterations), row.stop_reason, format_snr(row.snr_db))
+    assert printed == expected
+
+
+def test_recover_unknown_algorithm_exits_2(capsys):
+    assert main(["recover", "--algorithm", "nope", "--m", "24"]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Dictionaries, sparse coefficients, sensing, measurements, serialization."""
+"""Dictionaries, sparse coefficients, sensing, measurements."""
 
 import math
 
@@ -14,9 +14,7 @@ from sscosamp import (
     build_rescaled_identity,
     draw_gaussian_sensing,
     draw_sparse_coefficients,
-    load_matrix,
     measure,
-    save_matrix,
     synthesize,
 )
 
@@ -193,18 +191,6 @@ def test_gaussian_sensing_deterministic_and_scaled():
     # squared column norms concentrate near 1
     avg_sq = float(np.mean(np.sum(big.matrix**2, axis=0)))
     assert 0.9 < avg_sq < 1.1
-
-
-def test_save_load_matrix_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    real = rng.standard_normal((3, 5))
-    cplx = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    p1 = tmp_path / "real.mat"
-    p2 = tmp_path / "cplx.mat"
-    save_matrix(p1, real)
-    save_matrix(p2, cplx)
-    assert np.array_equal(load_matrix(p1), real)
-    assert np.array_equal(load_matrix(p2), cplx)
 
 
 def _complex_vector(rng, n):

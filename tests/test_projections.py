@@ -249,3 +249,16 @@ def test_top_k_tie_heavy_matches_lowest_index_reference():
                 got = top_k(v, k)
                 assert got == tuple(sorted(ranked[:k]))
                 assert all(type(i) is int for i in got)
+
+
+def test_cosamp_backend_supports_pinned():
+    # supports recorded before the backend moved onto the shared kernel
+    D = build_overcomplete_dft(16, 2)
+    rng = np.random.default_rng(2026)
+    z1 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    z2 = D.matrix[:, [3, 4, 20]] @ np.array([1.0, -0.5j, 0.8]) + 0.05 * z1
+    backend = CoSaMPBackend()
+    assert backend.support(D, z1, 2) == (9, 17)
+    assert backend.support(D, z1, 3) == (9, 14, 17)
+    assert backend.support(D, z2, 2) == (3, 20)
+    assert backend.support(D, z2, 3) == (3, 4, 20)

@@ -371,3 +371,41 @@ def test_trace_csv_serialization(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "iter,residual_norm,error_to_truth,pruned_support"
     assert len(lines) == 1 + trace.iterations_run
+
+
+# (identify, merged, pruned, repr(residual_norm)) per iteration, recorded
+# before cosamp_baseline moved onto the shared kernel
+_COSAMP_PINNED_HEAD = [
+    ((5, 10, 24, 25, 26, 60), (5, 10, 24, 25, 26, 60), (24, 25, 26), "0.6098965227173717"),
+    ((5, 10, 32, 35, 49, 60), (5, 10, 24, 25, 26, 32, 35, 49, 60), (24, 25, 32),
+     "0.45370542843344575"),
+]
+_COSAMP_PINNED = {
+    "bounded": ("stall", _COSAMP_PINNED_HEAD + [
+        ((10, 25, 26, 35, 44, 50), (10, 24, 25, 26, 32, 35, 44, 50), (25, 32, 50),
+         "0.12756900016630288"),
+        ((10, 18, 24, 25, 26, 59), (10, 18, 24, 25, 26, 32, 50, 59), (25, 32, 50),
+         "0.13742930173798085"),
+        ((10, 18, 24, 25, 26, 59), (10, 18, 24, 25, 26, 32, 50, 59), (25, 32, 50),
+         "0.13742930173798085"),
+    ]),
+    "unbounded": ("residual_tol", _COSAMP_PINNED_HEAD + [
+        ((10, 25, 26, 35, 44, 50), (10, 24, 25, 26, 32, 35, 44, 50), (25, 32, 50),
+         "1.2138106967135508e-15"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COSAMP_PINNED))
+def test_cosamp_baseline_records_pinned(case):
+    D = build_overcomplete_dft(32, 2)
+    A = draw_gaussian_sensing(16, 32, 1)
+    coeffs = draw_sparse_coefficients(64, 3, "separated", 1, min_gap=4)
+    meas = measure(A, synthesize(D, coeffs), 0.0)
+    # 0.9 ||alpha|| keeps the update fit's norm bound active
+    bound = 0.9 * coeffs.norm() if case == "bounded" else math.inf
+    trace = cosamp_baseline(A, D, meas, 3, norm_bound=bound)
+    stop, records = _COSAMP_PINNED[case]
+    assert trace.stop_reason == stop
+    assert [(r.identify_support, r.merged_support, r.pruned_support, repr(r.residual_norm))
+            for r in trace.records] == records
