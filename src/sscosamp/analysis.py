@@ -14,7 +14,13 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import build_projector, lstsq
 from .model import SparseCoefficients
-from .projections import OMPBackend, enumerate_supports, project_support
+from .projections import (
+    OMPBackend,
+    exhaustive_argmin,
+    project_support,
+    stacked_residuals,
+    support_bases,
+)
 
 __all__ = [
     "snr_db",
@@ -171,22 +177,25 @@ def drip_exact(A, dictionary, k):
 
     For each support, extremal values of ||A w|| over unit w in the span of
     the selected columns come from the eigenvalues of Q^H A^H A Q with Q an
-    orthonormal basis of the span.  Only feasible for small d: refuses more
-    than ``projections.DEFAULT_ENUMERATION_CAP`` supports.
+    orthonormal basis of the span.  The bases come stacked from
+    ``projections.support_bases`` and their eigenvalues from one batched
+    solve per chunk; a rank-deficient support takes ``build_projector``'s
+    basis instead.  Only feasible for small d: refuses more than
+    ``projections.DEFAULT_ENUMERATION_CAP`` supports.
     """
     if not 1 <= k <= dictionary.d:
         raise InvalidInputError(f"need 1 <= k <= d={dictionary.d}")
     if A.n != dictionary.n:
         raise InvalidInputError("sensing matrix and dictionary disagree on n")
-    supports = enumerate_supports(dictionary.d, k)
     gram = A.matrix.T @ A.matrix
     worst = 0.0
-    for support in supports:
-        Q = build_projector(dictionary.columns(support), support=support).basis
-        if Q.shape[1] == 0:
-            continue
-        eigs = np.linalg.eigvalsh(Q.conj().T @ gram @ Q)
-        worst = max(worst, abs(float(eigs[-1]) - 1.0), abs(float(eigs[0]) - 1.0))
+    for supports, Q, full in support_bases(dictionary.matrix, k):
+        stacks = [Q[full]] + [build_projector(dictionary.columns(s), support=s).basis[None]
+                              for s in supports[~full]]
+        for Qs in stacks:
+            if Qs.size:  # skips an empty stack and a rank-0 basis
+                eigs = np.linalg.eigvalsh(Qs.conj().transpose(0, 2, 1) @ gram @ Qs)
+                worst = max(worst, float(np.max(np.abs(eigs[:, [0, -1]] - 1.0))))
     return DRipEstimate(order_k=int(k), delta_lower=worst, trials=math.comb(dictionary.d, k),
                         seed=None, exhaustive=True)
 
@@ -212,33 +221,40 @@ def mismatch(dictionary, x, k, greedy=False):
     """Evaluate the model-mismatch quantity for x at sparsity k.
 
     Exhaustive mode scans every size-k support and refuses more than
-    ``projections.DEFAULT_ENUMERATION_CAP`` of them; ``greedy=True`` instead
-    scores only the support chosen by the greedy pursuit backend, which is
-    a (possibly looser) upper bound usable on large instances.
+    ``projections.DEFAULT_ENUMERATION_CAP`` of them.  It scores the residuals
+    of stacked bases (``projections.exhaustive_argmin``) and fits the winner
+    by least squares, which gives the reported value and coefficients.
+    ``greedy=True`` instead scores only the support chosen by the greedy
+    pursuit backend, which is a (possibly looser) upper bound usable on
+    large instances.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or x.shape[0] != dictionary.n:
         raise InvalidInputError(f"x must be a length-{dictionary.n} vector")
+    if not np.isfinite(x).all():
+        raise InvalidInputError("x contains non-finite entries")
     if not 1 <= k <= dictionary.d:
         raise InvalidInputError(f"need 1 <= k <= d={dictionary.d}")
-    if greedy:
-        candidates = [project_support(OMPBackend(), dictionary, x, k)]
-    else:
-        candidates = enumerate_supports(dictionary.d, k)
-    best = math.inf
-    best_support = None
-    best_coeffs = None
-    for support in candidates:
+    root_k = math.sqrt(k)
+
+    def exact(support):
         cols = dictionary.columns(support)
         coeffs = lstsq(cols, x)
         resid = x - cols @ coeffs
-        value = float(np.linalg.norm(resid) + np.linalg.norm(resid, 1) / math.sqrt(k))
-        if value < best:
-            best = value
-            best_support = tuple(support)
-            best_coeffs = coeffs
-    coeffs = SparseCoefficients(support=best_support, values=best_coeffs,
-                                ambient_dim=dictionary.d)
+        return float(np.linalg.norm(resid) + np.linalg.norm(resid, 1) / root_k), coeffs
+
+    def batch_scores(Q):
+        resid = stacked_residuals(Q, x)
+        return np.linalg.norm(resid, axis=1) + np.abs(resid).sum(axis=1) / root_k
+
+    if greedy:
+        support = project_support(OMPBackend(), dictionary, x, k)
+        best, best_coeffs = exact(support)
+    else:
+        scale = float(np.linalg.norm(x) + np.linalg.norm(x, 1) / root_k)
+        support, best, best_coeffs = exhaustive_argmin(dictionary.matrix, k, batch_scores,
+                                                       exact, scale)
+    coeffs = SparseCoefficients(support=support, values=best_coeffs, ambient_dim=dictionary.d)
     return MismatchReport(k=int(k), value=best, minimizing_coeffs=coeffs,
                           exhaustive=not greedy)
 

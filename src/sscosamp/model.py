@@ -99,13 +99,6 @@ class Dictionary:
         inner = np.abs(np.einsum("ij,ij->j", left.conj(), right))
         return float(np.max(inner / (self.column_norms[:-1] * self.column_norms[1:])))
 
-    def mutual_coherence(self):
-        """Max normalized inner product over all distinct column pairs."""
-        G = self.matrix.conj().T @ self.matrix
-        G = np.abs(G) / np.outer(self.column_norms, self.column_norms)
-        np.fill_diagonal(G, 0.0)
-        return float(np.max(G))
-
 
 @dataclass(frozen=True, eq=False)
 class SparseCoefficients:

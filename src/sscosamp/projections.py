@@ -35,16 +35,42 @@ __all__ = [
     "basis_pursuit_denoise",
     "cosamp_steps",
     "enumerate_supports",
+    "support_bases",
+    "stacked_residuals",
+    "exhaustive_argmin",
 ]
 
 # Refuse exhaustive enumeration past this many candidate supports.
 DEFAULT_ENUMERATION_CAP = 2_000_000
+
+# Complex entries in one stacked chunk of support submatrices (1 MiB), so a
+# scan's memory does not grow with the number of supports.
+SUPPORT_CHUNK_ELEMENTS = 1 << 16
+
+# A stacked basis counts as full rank when its smallest |R_ii| exceeds this
+# fraction of its largest.  It is 100x looser than build_projector's pivot
+# tolerance, so every support either rule could call rank-deficient takes the
+# per-support path.
+FULL_RANK_RTOL = 1e-8
+
+# Supports whose stacked score lies within this fraction of the scan's scale
+# of the least one are scored again by the per-support path, so near ties
+# resolve exactly as a per-support scan would resolve them.
+TIE_RTOL = 1e-9
 
 # Steps of the CoSaMP backend's inner loop before it returns its support.
 COSAMP_BACKEND_MAX_ITERS = 20
 
 # Ratio denominators smaller than this fraction of ||z|| report infinity.
 EPS_DENOMINATOR_FLOOR = 1e-12
+
+# ADMM residual balancing (Boyd, Parikh, Chu, Peleato & Eckstein 2011,
+# section 3.4.1): every RHO_BALANCE_EVERY iterations, rho is multiplied by
+# RHO_STEP when the primal residual exceeds RHO_IMBALANCE times the dual one,
+# and divided by it in the reverse case.
+RHO_BALANCE_EVERY = 10
+RHO_IMBALANCE = 10.0
+RHO_STEP = 2.0
 
 
 def top_k(scores, k):
@@ -65,6 +91,74 @@ def enumerate_supports(d, k):
             f"C({d},{k}) = {n_supports} supports exceeds cap {DEFAULT_ENUMERATION_CAP}"
         )
     return itertools.combinations(range(d), k)
+
+
+def support_bases(matrix, k):
+    """Orthonormal bases of every size-k column support, a chunk at a time.
+
+    Takes the supports of ``enumerate_supports`` in order, stacks
+    ``matrix[:, S]`` for up to ``SUPPORT_CHUNK_ELEMENTS`` entries' worth of
+    them and factors the stack with one unpivoted QR.  Yields
+    ``(supports, Q, full)``: ``supports`` is a (B, k) index array, ``Q`` the
+    (B, n, min(n, k)) bases and ``full`` marks the supports whose ``Q`` spans
+    all k columns (smallest |R_ii| above ``FULL_RANK_RTOL`` times the
+    largest).  The other supports' ``Q`` is meaningless; callers score them
+    through the per-support path.
+    """
+    n, d = matrix.shape
+    supports = enumerate_supports(d, k)
+    per_chunk = max(1, SUPPORT_CHUNK_ELEMENTS // (n * k))
+    rows = np.asarray(matrix, dtype=np.complex128).T
+    while True:
+        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(supports, per_chunk)),
+                            dtype=np.intp).reshape(-1, k)
+        if not len(chunk):
+            return
+        Q, R = np.linalg.qr(rows[chunk].transpose(0, 2, 1))
+        pivots = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        full = (pivots.min(axis=1) > FULL_RANK_RTOL * pivots.max(axis=1)) & (k <= n)
+        yield chunk, Q, full
+
+
+def stacked_residuals(Q, z):
+    """Residuals ``z - Q Q^H z`` of one vector against a (B, n, r) stack of
+    orthonormal bases, as a (B, n) array."""
+    coef = (z.conj() @ Q).conj()
+    return z - (Q @ coef[:, :, None])[:, :, 0]
+
+
+def exhaustive_argmin(matrix, k, batch_scores, exact, scale):
+    """The first support, in lexicographic order, with the least exact score.
+
+    ``batch_scores(Q)`` scores a stack of full-rank bases at once;
+    ``exact(support)`` returns ``(score, result)`` by the per-support path.
+    Rank-deficient supports are scored by ``exact`` alone.  Every support
+    whose score is within ``TIE_RTOL * scale`` of the least, the first least
+    always among them, is scored again by ``exact`` in lexicographic order,
+    and a later one wins only when strictly lower.  Returns
+    ``(support, score, result)``.
+    """
+    tol = TIE_RTOL * scale
+    best = math.inf
+    near = []  # (support, score) within tol of the least so far, in order
+    for supports, Q, full in support_bases(matrix, k):
+        scores = np.empty(len(supports))
+        scores[full] = batch_scores(Q[full])
+        for i in np.flatnonzero(~full):
+            scores[i] = exact(tuple(supports[i].tolist()))[0]
+        first = int(np.argmin(scores))
+        if scores[first] < best:
+            best = scores[first]
+            near = [(support, score) for support, score in near if score < best + tol]
+        close = scores < best + tol
+        close[first] |= scores[first] == best  # tol is 0 when the scale is
+        near += [(tuple(supports[i].tolist()), scores[i]) for i in np.flatnonzero(close)]
+    winner = None
+    for support, _ in near:
+        score, result = exact(support)
+        if winner is None or score < winner[1]:
+            winner = (support, score, result)
+    return winner
 
 
 def cosamp_steps(Phi, adjoint, fit, y, k):
@@ -234,23 +328,25 @@ def optimal_projection(dictionary, z, k):
 
     Returns ``(support, projection)`` where projection is P z for the
     winning span.  Supports are visited in lexicographic order and ties keep
-    the earliest, so the result is deterministic.  Refuses instances with
-    more than ``DEFAULT_ENUMERATION_CAP`` candidate supports.
+    the earliest, so the result is deterministic.  Every support is scored
+    by its stacked residual (``exhaustive_argmin``); the projection is
+    ``build_projector``'s for the winner.  Refuses instances with more than
+    ``DEFAULT_ENUMERATION_CAP`` candidate supports.
     """
     z = _check_projection_args(dictionary, z, k)
-    candidates = enumerate_supports(dictionary.d, k)
-    best_support = None
-    best_proj = None
-    best_residual = math.inf
-    for candidate in candidates:
-        P = build_projector(dictionary.columns(candidate), support=candidate)
-        proj = P.apply(z)
-        residual = float(np.linalg.norm(z - proj))
-        if residual < best_residual:
-            best_support = candidate
-            best_proj = proj
-            best_residual = residual
-    return tuple(best_support), best_proj
+    if not np.isfinite(z).all():
+        raise InvalidInputError("z contains non-finite entries")
+
+    def exact(support):
+        proj = build_projector(dictionary.columns(support), support=support).apply(z)
+        return float(np.linalg.norm(z - proj)), proj
+
+    def batch_scores(Q):
+        return np.linalg.norm(stacked_residuals(Q, z), axis=1)
+
+    support, _, proj = exhaustive_argmin(dictionary.matrix, k, batch_scores, exact,
+                                         float(np.linalg.norm(z)))
+    return support, proj
 
 
 @dataclass(frozen=True)
@@ -290,7 +386,11 @@ def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, to
     """Solve min ||a||_1 s.t. ||M a - z|| <= sigma by ADMM splitting.
 
     Splits into v = a (soft-threshold step) and u = M a - z (projection onto
-    the sigma-ball), with a fixed penalty ``rho``.  The linear-system step
+    the sigma-ball).  The penalty starts at ``rho`` and is balanced every
+    ``RHO_BALANCE_EVERY`` iterations: doubled while the primal residual is
+    more than ``RHO_IMBALANCE`` times the dual one, halved in the reverse
+    case, with the scaled duals rescaled to match.  Both constraints share
+    the penalty, so the linear-system step does not depend on it: it
     factors I + M^H M once, via the small Gram side when M is wide.  The
     problem is solved at unit scale (z normalized) and the answer rescaled.
 
@@ -323,12 +423,14 @@ def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, to
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"basis_pursuit_denoise: {exc}") from exc
 
+    # cho_factor has checked that the system is finite; the per-iteration
+    # finiteness scan of cho_solve would cost about 15% of the solve
     if m < d:
         def solve(b):
-            return b - MH @ scipy.linalg.cho_solve(chol, M @ b)
+            return b - MH @ scipy.linalg.cho_solve(chol, M @ b, check_finite=False)
     else:
         def solve(b):
-            return scipy.linalg.cho_solve(chol, b)
+            return scipy.linalg.cho_solve(chol, b, check_finite=False)
 
     v = np.zeros(d, dtype=np.complex128)
     u = np.zeros(m, dtype=np.complex128)
@@ -361,8 +463,20 @@ def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, to
         )
         if r_norm <= eps_pri and s_norm <= eps_dual:
             return v * scale
+        if (it + 1) % RHO_BALANCE_EVERY == 0:
+            if r_norm > RHO_IMBALANCE * s_norm:
+                step = RHO_STEP
+            elif s_norm > RHO_IMBALANCE * r_norm:
+                step = 1.0 / RHO_STEP
+            else:
+                continue
+            rho *= step
+            p /= step
+            q /= step
+            shrink = 1.0 / rho
     raise NumericalFailureError(
         "basis_pursuit_denoise: ADMM did not converge",
         iteration=max_iters,
-        diagnostics={"primal_residual": r_norm, "dual_residual": s_norm, "sigma": sigma},
+        diagnostics={"primal_residual": r_norm, "dual_residual": s_norm, "sigma": sigma,
+                     "rho": rho},
     )

@@ -100,17 +100,10 @@ class RecoveryTrace:
     stop_reason: str
     records: tuple
 
-    def residual_norms(self):
-        return [rec.residual_norm for rec in self.records]
-
     def errors_to(self, x_true):
         """Per-iteration distances ||x_true - estimate||."""
         x_true = np.asarray(x_true)
         return [float(np.linalg.norm(x_true - rec.estimate)) for rec in self.records]
-
-    @property
-    def final_support(self):
-        return self.records[-1].pruned_support if self.records else ()
 
 
 def _guard_finite(vec, what, iteration):

@@ -1,5 +1,6 @@
 """Metrics and theory diagnostics: SNR, constants, envelope, isometry, mismatch."""
 
+import itertools
 import math
 
 import numpy as np
@@ -329,6 +330,8 @@ def test_mismatch_validation(monkeypatch):
         mismatch(D, x, 0)
     with pytest.raises(InvalidInputError):
         mismatch(D, np.ones(7), 2)
+    with pytest.raises(InvalidInputError):
+        mismatch(D, np.array([1.0, np.nan, 0, 0, 0, 0, 0, 0]), 2)
     monkeypatch.setattr(projections, "DEFAULT_ENUMERATION_CAP", 10)
     with pytest.raises(InstanceTooLargeError):
         mismatch(D, x, 4)
@@ -383,3 +386,99 @@ def test_tail_check_validation():
         upper_rip_tail_check(A, 2, np.ones(5), 0.1)
     with pytest.raises(InvalidInputError):
         upper_rip_tail_check(A, 2, np.ones(4), -0.1)
+
+
+# ---------------------------------------------------------------------------
+# stacked exhaustive scans against plain per-support references
+
+
+def _hostile_dictionary():
+    # c7 duplicates c1, c8 = 2 c2 + c5, c9 = c3 + 1e-13 c0
+    rng = np.random.default_rng(808)
+    M = _random_complex(rng, 8, 10)
+    M /= np.linalg.norm(M, axis=0)
+    M[:, 7] = M[:, 1]
+    M[:, 8] = 2.0 * M[:, 2] + M[:, 5]
+    M[:, 9] = M[:, 3] + 1e-13 * M[:, 0]
+    return Dictionary(M)
+
+
+def _hostile_vectors(D):
+    rng = np.random.default_rng(809)
+    near = [(1,), (1, 4), (2, 5, 6), (3, 6), (0, 8)]
+    vectors = [_random_complex(rng, 8) for _ in range(3)]
+    for cols in near:  # close to spans that the special columns duplicate
+        vectors.append(D.columns(cols) @ _random_complex(rng, len(cols))
+                       + 0.01 * _random_complex(rng, 8))
+    return vectors
+
+
+def _supports(d, k):
+    return itertools.combinations(range(d), k)
+
+
+def _reference_oracle(D, z, k):
+    best = (math.inf, None)
+    for s in _supports(D.d, k):
+        r = float(np.linalg.norm(z - build_projector(D.columns(s)).apply(z)))
+        if r < best[0]:
+            best = (r, s)
+    return best
+
+
+def _reference_mismatch(D, x, k):
+    best = math.inf
+    for s in _supports(D.d, k):
+        cols = D.columns(s)
+        resid = x - cols @ np.linalg.lstsq(cols, x, rcond=None)[0]
+        best = min(best, float(np.linalg.norm(resid) + np.linalg.norm(resid, 1) / math.sqrt(k)))
+    return best
+
+
+def _reference_drip(A, D, k):
+    gram = A.matrix.T @ A.matrix
+    worst = 0.0
+    for s in _supports(D.d, k):
+        Q = build_projector(D.columns(s)).basis
+        eigs = np.linalg.eigvalsh(Q.conj().T @ gram @ Q)
+        worst = max(worst, abs(eigs[-1] - 1.0), abs(eigs[0] - 1.0))
+    return worst
+
+
+def test_support_bases_rank_rule_flags_dependent_supports():
+    D = _hostile_dictionary()
+    for k in (1, 2, 3):
+        seen = []
+        for supports, _, full in projections.support_bases(D.matrix, k):
+            for s, f in zip(supports.tolist(), full):
+                deficient = ({1, 7} <= set(s) or {3, 9} <= set(s) or {2, 5, 8} <= set(s))
+                assert f == (not deficient), s
+                seen.append(tuple(s))
+        assert seen == list(_supports(10, k))
+
+
+@pytest.mark.parametrize("chunk_elements", [projections.SUPPORT_CHUNK_ELEMENTS, 24])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_scans_match_per_support_references(monkeypatch, chunk_elements, k):
+    # 24 elements make chunks of 3 supports at k = 1 and of 1 at k >= 2, so
+    # ties between the duplicated columns fall across chunk boundaries
+    monkeypatch.setattr(projections, "SUPPORT_CHUNK_ELEMENTS", chunk_elements)
+    D = _hostile_dictionary()
+    A = _near_orthogonal_sensing(np.random.default_rng(810), 8)
+    for z in _hostile_vectors(D):
+        ref_residual, ref_support = _reference_oracle(D, z, k)
+        support, proj = projections.optimal_projection(D, z, k)
+        assert support == ref_support
+        assert float(np.linalg.norm(z - proj)) == pytest.approx(ref_residual, rel=1e-12)
+        assert mismatch(D, z, k).value == pytest.approx(_reference_mismatch(D, z, k), rel=1e-12)
+    assert drip_exact(A, D, k).delta_lower == pytest.approx(_reference_drip(A, D, k), rel=1e-12)
+
+
+def test_exact_tie_across_chunks_keeps_first_support(monkeypatch):
+    monkeypatch.setattr(projections, "SUPPORT_CHUNK_ELEMENTS", 24)  # 3 supports at k = 1
+    D = _hostile_dictionary()
+    z = 2.0 * D.matrix[:, 1] + 0.01 * _random_complex(np.random.default_rng(811), 8)
+    chunks = [s.ravel().tolist() for s, _, _ in projections.support_bases(D.matrix, 1)]
+    assert 1 in chunks[0] and 7 in chunks[2]
+    assert projections.optimal_projection(D, z, 1)[0] == (1,)
+    assert mismatch(D, z, 1).minimizing_coeffs.support == (1,)

@@ -154,6 +154,16 @@ def test_project_eval_writes_quality_csv(tmp_path):
     assert exhaustive and all(line.split(",")[3] == "0.000000000" for line in exhaustive)
 
 
+def test_project_eval_l1_completes(tmp_path):
+    # a fixed ADMM penalty left this study exiting 3 ("ADMM did not converge")
+    out = tmp_path / "quality.csv"
+    rc = main(["project-eval", "--dict", "dft", "--n", "16", "--redundancy", "2",
+               "--k", "2", "--patterns", "separated,clustered", "--backends", "l1",
+               "--trials", "12", "--seed", "2026", "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 1 + 24
+
+
 def test_drip_csv_output(capsys):
     rc = main(["drip", "--dict", "dft", "--n", "8", "--redundancy", "1",
                "--m", "8", "--k", "2", "--trials", "50", "--seed", "1"])

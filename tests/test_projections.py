@@ -158,6 +158,8 @@ def test_projection_argument_validation():
     with pytest.raises(InvalidInputError):
         project_support(ThresholdBackend(), D, np.zeros(5), 2)
     with pytest.raises(InvalidInputError):
+        optimal_projection(D, np.array([1.0, np.inf, 0.0, 0.0]), 2)
+    with pytest.raises(InvalidInputError):
         make_backend("sorting-hat")
 
 
@@ -210,6 +212,25 @@ def test_l1_backend_nonconvergence_raises_with_diagnostics():
         project_support(L1Backend(max_iters=1), D, z, 2)
     assert info.value.iteration == 1
     assert "primal_residual" in info.value.diagnostics
+    assert info.value.diagnostics["rho"] == 1.0  # no balancing step yet
+
+
+def _perturbed_dft_vector(D, seed):
+    rng = np.random.default_rng(seed)
+    x = D.columns((5, 21)) @ _random_complex(rng, 2)
+    bump = _random_complex(rng, 16)
+    return x + 0.1 * np.linalg.norm(x) * bump / np.linalg.norm(bump)
+
+
+def test_l1_backend_converges_with_residual_balancing():
+    # with a fixed rho = 1 seeds 0 and 1 ran out of iterations at 4000
+    D = build_overcomplete_dft(16, 2)
+    for seed in range(4):
+        z = _perturbed_dft_vector(D, seed)
+        assert project_support(L1Backend(), D, z, 2) == (5, 21)
+        with pytest.raises(NumericalFailureError) as info:
+            project_support(L1Backend(max_iters=50), D, z, 2)
+        assert info.value.diagnostics["rho"] > 1.0  # balancing raised it
 
 
 def test_basis_pursuit_recovers_sparse_on_orthonormal_system():
