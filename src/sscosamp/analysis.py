@@ -44,6 +44,9 @@ SNR_ERROR_FLOOR = 1e-300
 # estimator rather than divided by.
 DRIP_NORM_FLOOR = 1e-12
 
+# Slack allowed below the decay envelope, relative to max(||x||, 1).
+ENVELOPE_TOL = 1e-9
+
 
 def snr_db(x_true, x_est):
     """Signal-to-noise ratio 20*log10(||x|| / ||x - x_hat||) in dB.
@@ -114,7 +117,7 @@ class EnvelopeReport:
     binding: bool
 
 
-def corollary1_envelope(trace, x_true, noise_norm, binding=False, tol=1e-9):
+def corollary1_envelope(trace, x_true, noise_norm, binding=False):
     """Compare a trace's per-iteration errors against the decay envelope."""
     x_true = np.asarray(x_true, dtype=np.complex128)
     x_norm = float(np.linalg.norm(x_true))
@@ -123,7 +126,7 @@ def corollary1_envelope(trace, x_true, noise_norm, binding=False, tol=1e-9):
     for i, err in enumerate(errors):
         envelope = (0.5 ** (i + 1)) * x_norm + 25.4 * noise_norm
         slacks.append(envelope - err)
-    passed = all(s >= -tol * max(x_norm, 1.0) for s in slacks)
+    passed = all(s >= -ENVELOPE_TOL * max(x_norm, 1.0) for s in slacks)
     return EnvelopeReport(passed=passed, slacks=tuple(slacks), binding=binding)
 
 
@@ -190,7 +193,7 @@ def drip_exact(A, dictionary, k):
     gram = A.matrix.T @ A.matrix
     worst = 0.0
     for supports, Q, full in support_bases(dictionary.matrix, k):
-        stacks = [Q[full]] + [build_projector(dictionary.columns(s), support=s).basis[None]
+        stacks = [Q[full]] + [build_projector(dictionary.columns(s)).basis[None]
                               for s in supports[~full]]
         for Qs in stacks:
             if Qs.size:  # skips an empty stack and a rank-0 basis

@@ -147,6 +147,10 @@ class SweepConfig:
             raise InvalidInputError(
                 f"unknown scenario {self.scenario!r}; choose from {sorted(SCENARIOS)}"
             )
+        if self.k < 1:
+            raise InvalidInputError("k must be >= 1")
+        if self.max_iters < 0:
+            raise InvalidInputError("max_iters must be >= 0 (0 means the scenario default)")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
         if not self.m_grid:
@@ -292,29 +296,20 @@ def run_sweep(cfg):
             for alg in cfg.algorithms:
                 start = time.perf_counter()
                 try:
-                    trace = run_algorithm(alg, A, dictionary, meas, cfg.k,
-                                          norm_bound, max_iters)
-                    wall_ms = (time.perf_counter() - start) * 1e3
-                    snr = snr_db(x, trace.x_hat)
-                    rows.append(
-                        TrialResult(
-                            scenario=cfg.scenario, algorithm=alg, m=m, trial=trial,
-                            seed=seed_u64, snr_db=snr,
-                            success=snr >= cfg.snr_threshold_db,
-                            iterations=trace.iterations_run, wall_ms=wall_ms,
-                            stop_reason=trace.stop_reason,
-                        )
-                    )
+                    trace = run_algorithm(alg, A, dictionary, meas, cfg.k, norm_bound, max_iters)
                 except NumericalFailureError:
-                    wall_ms = (time.perf_counter() - start) * 1e3
-                    rows.append(
-                        TrialResult(
-                            scenario=cfg.scenario, algorithm=alg, m=m, trial=trial,
-                            seed=seed_u64, snr_db=math.nan, success=False,
-                            iterations=0, wall_ms=wall_ms,
-                            stop_reason=STOP_NUMERICAL_FAILURE,
-                        )
+                    trace = None
+                wall_ms = (time.perf_counter() - start) * 1e3
+                snr = math.nan if trace is None else snr_db(x, trace.x_hat)
+                rows.append(
+                    TrialResult(
+                        scenario=cfg.scenario, algorithm=alg, m=m, trial=trial,
+                        seed=seed_u64, snr_db=snr, success=snr >= cfg.snr_threshold_db,
+                        iterations=0 if trace is None else trace.iterations_run,
+                        wall_ms=wall_ms,
+                        stop_reason=STOP_NUMERICAL_FAILURE if trace is None else trace.stop_reason,
                     )
+                )
     return SweepResult(config=cfg, rows=tuple(rows))
 
 

@@ -8,7 +8,7 @@ imaginary part).  A LAPACK failure (``LinAlgError``) surfaces as
 :class:`NumericalFailureError`, so callers handle one failure type.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +33,11 @@ DEFAULT_RANK_TOL = 1e-10
 # max(m, t) * eps (about 3e-14 at m = 128), so above this floor the SVD would
 # truncate nothing and return the same plain least-squares solution.
 QR_RCOND_MIN = 1e-10
+
+# Relative slack the norm-bounded fit allows on its constraint, and the cap on
+# its bracketing and bisection steps for the ridge parameter.
+TIKHONOV_TOL = 1e-9
+TIKHONOV_MAX_BISECT = 200
 
 
 def lstsq(cols, y):
@@ -67,12 +72,10 @@ class OrthoProjector:
     """Orthogonal projector onto the span of a set of dictionary columns.
 
     ``basis`` has orthonormal columns spanning the range; applying the
-    projector is ``basis @ (basis^H z)``.  ``support`` records which column
-    indices the span came from, when known.
+    projector is ``basis @ (basis^H z)``.
     """
 
     basis: np.ndarray
-    support: tuple = field(default=())
 
     @property
     def rank(self):
@@ -105,21 +108,17 @@ class OrthoProjector:
         return self.basis @ self.basis.conj().T
 
 
-def build_projector(cols, rank_tol=DEFAULT_RANK_TOL, support=()):
+def build_projector(cols):
     """Build the orthogonal projector onto the column span of ``cols``.
 
     Uses Householder QR with column pivoting; pivots whose magnitude falls
-    below ``rank_tol`` times the largest pivot are dropped, so nearly
+    below ``DEFAULT_RANK_TOL`` times the largest pivot are dropped, so nearly
     dependent columns of a coherent dictionary do not pollute the basis.
 
     Parameters
     ----------
     cols : ndarray (n, t)
         Columns spanning the target subspace (t >= 1).
-    rank_tol : float
-        Relative pivot threshold for rank detection (>= 0).
-    support : tuple of int, optional
-        Column indices the span came from; stored for bookkeeping only.
 
     Returns
     -------
@@ -128,8 +127,6 @@ def build_projector(cols, rank_tol=DEFAULT_RANK_TOL, support=()):
     cols = _as_matrix(cols, "cols")
     if cols.shape[1] == 0:
         raise InvalidInputError("cannot build a projector from zero columns")
-    if rank_tol < 0:
-        raise InvalidInputError("rank_tol must be >= 0")
     try:
         Q, R, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
     except np.linalg.LinAlgError as exc:
@@ -137,11 +134,9 @@ def build_projector(cols, rank_tol=DEFAULT_RANK_TOL, support=()):
     pivots = np.abs(np.diag(R))
     if pivots.size == 0 or pivots[0] == 0.0:
         rank = 0
-    elif rank_tol == 0.0:
-        rank = int(np.count_nonzero(pivots > 0.0))
     else:
-        rank = int(np.count_nonzero(pivots >= rank_tol * pivots[0]))
-    return OrthoProjector(basis=np.ascontiguousarray(Q[:, :rank]), support=tuple(support))
+        rank = int(np.count_nonzero(pivots >= DEFAULT_RANK_TOL * pivots[0]))
+    return OrthoProjector(basis=np.ascontiguousarray(Q[:, :rank]))
 
 
 def _qr_lstsq(M, y):
@@ -171,7 +166,7 @@ def _qr_lstsq(M, y):
     return beta[:t, 0]
 
 
-def _ridge_constrained(M, y, norm_bound, tol, max_bisect):
+def _ridge_constrained(M, y, norm_bound):
     """Minimize ||y - M b|| subject to ||b|| <= norm_bound.
 
     Diagonalizes the ridge normal equations (M^H M + lam I) b = M^H y via the
@@ -188,7 +183,7 @@ def _ridge_constrained(M, y, norm_bound, tol, max_bisect):
     cutoff = max(M.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
     live = s > cutoff
     beta0 = Vh.conj().T @ np.where(live, c / np.where(live, s, 1.0), 0.0)
-    if np.linalg.norm(beta0) <= norm_bound * (1.0 + tol):
+    if np.linalg.norm(beta0) <= norm_bound * (1.0 + TIKHONOV_TOL):
         return beta0
 
     sc2 = (s * np.abs(c)) ** 2
@@ -198,7 +193,7 @@ def _ridge_constrained(M, y, norm_bound, tol, max_bisect):
 
     # Bracket: beta_norm is continuous and strictly decreasing to 0.
     hi = max(float(s[0]) ** 2, 1.0)
-    for _ in range(max_bisect):
+    for _ in range(TIKHONOV_MAX_BISECT):
         if beta_norm(hi) <= norm_bound:
             break
         hi *= 2.0
@@ -208,29 +203,30 @@ def _ridge_constrained(M, y, norm_bound, tol, max_bisect):
             diagnostics={"norm_bound": norm_bound, "hi": hi},
         )
     lo = 0.0
-    for _ in range(max_bisect):
+    for _ in range(TIKHONOV_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         val = beta_norm(mid)
-        if abs(val - norm_bound) <= tol * norm_bound:
+        if abs(val - norm_bound) <= TIKHONOV_TOL * norm_bound:
             return Vh.conj().T @ (s * c / (s**2 + mid))
         if val > norm_bound:
             lo = mid
         else:
             hi = mid
     raise NumericalFailureError(
-        f"tikhonov_lsq: bisection did not converge in {max_bisect} iterations",
+        f"tikhonov_lsq: bisection did not converge in {TIKHONOV_MAX_BISECT} iterations",
         diagnostics={"lo": lo, "hi": hi, "norm_bound": norm_bound},
     )
 
 
-def tikhonov_lsq(A, cols, y, norm_bound, tol=1e-9, max_bisect=200):
+def tikhonov_lsq(A, cols, y, norm_bound):
     """Norm-constrained least squares over a dictionary submatrix.
 
     Solves ``min_b ||y - A @ cols @ b||  s.t.  ||b|| <= norm_bound``.  A tall,
     well-conditioned system whose plain least-squares solution lies inside
     the bound is answered by one Householder QR.  Every other system goes
     through the SVD: minimum-norm truncation, then ridge regularization with
-    the ridge parameter found by bisection on the constraint.  The
+    the ridge parameter found by bisection on the constraint, to a relative
+    slack of ``TIKHONOV_TOL`` in at most ``TIKHONOV_MAX_BISECT`` steps.  The
     synthesized signal is ``cols @ b``.
 
     Parameters
@@ -244,10 +240,6 @@ def tikhonov_lsq(A, cols, y, norm_bound, tol=1e-9, max_bisect=200):
     norm_bound : float
         Positive bound on ||b||; ``inf`` yields the plain minimum-norm
         least-squares solution.
-    tol : float
-        Relative slack allowed on the constraint at the boundary.
-    max_bisect : int
-        Iteration cap for bracketing and bisection.
 
     Returns
     -------
@@ -273,9 +265,9 @@ def tikhonov_lsq(A, cols, y, norm_bound, tol=1e-9, max_bisect=200):
             raise InvalidInputError("A row count does not match y length")
         M = A @ cols
     beta = _qr_lstsq(M, y)
-    if beta is not None and np.linalg.norm(beta) <= norm_bound * (1.0 + tol):
+    if beta is not None and np.linalg.norm(beta) <= norm_bound * (1.0 + TIKHONOV_TOL):
         return beta
-    return _ridge_constrained(M, y, norm_bound, tol, max_bisect)
+    return _ridge_constrained(M, y, norm_bound)
 
 
 def operator_norm(M, iters=200):

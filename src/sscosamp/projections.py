@@ -34,6 +34,7 @@ __all__ = [
     "evaluate_projection_quality",
     "basis_pursuit_denoise",
     "cosamp_steps",
+    "omp_steps",
     "enumerate_supports",
     "support_bases",
     "stacked_residuals",
@@ -71,6 +72,15 @@ EPS_DENOMINATOR_FLOOR = 1e-12
 RHO_BALANCE_EVERY = 10
 RHO_IMBALANCE = 10.0
 RHO_STEP = 2.0
+
+# ADMM's starting penalty, iteration cap and the absolute and relative
+# tolerances of its stopping test (Boyd et al., section 3.3.1); the L1 solves'
+# residual-ball radius as a fraction of the target's norm.
+ADMM_RHO_START = 1.0
+ADMM_MAX_ITERS = 4000
+ADMM_TOL_ABS = 1e-8
+ADMM_TOL_REL = 1e-6
+L1_SIGMA_REL = 1e-6
 
 
 def top_k(scores, k):
@@ -190,6 +200,30 @@ def cosamp_steps(Phi, adjoint, fit, y, k):
         yield proxy, omega, merged, beta, gamma, coef, residual
 
 
+def omp_steps(adjoint, weights, refit, y, k):
+    """k orthogonal matching pursuit steps for y.
+
+    ``adjoint(r)`` returns the correlations of r with the columns, ``weights``
+    their norms, and ``refit(selected)`` fits y on the chosen columns and
+    returns ``(residual, coef)``.  Each step chooses the unchosen column of
+    largest normalized correlation and refits.  It yields ``(proxy, j,
+    selected, residual, coef)``; ``selected`` lists the columns in the order
+    chosen.
+    """
+    taken = np.zeros(len(weights), dtype=bool)
+    selected = []
+    residual = y
+    for _ in range(k):
+        proxy = adjoint(residual)
+        scores = np.abs(proxy) / weights
+        scores[taken] = -np.inf
+        j = int(np.argmax(scores))  # first max wins on ties
+        selected.append(j)
+        taken[j] = True
+        residual, coef = refit(selected)
+        yield proxy, j, selected, residual, coef
+
+
 def _check_projection_args(dictionary, z, k):
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim != 1 or z.shape[0] != dictionary.n:
@@ -216,21 +250,17 @@ class ThresholdBackend:
 
 @dataclass(frozen=True)
 class OMPBackend:
-    """k greedy steps of normalized correlation, re-projecting after each."""
+    """``omp_steps`` on D, re-projecting z onto the chosen columns after each."""
 
     def support(self, dictionary, z, k):
         z = _check_projection_args(dictionary, z, k)
-        selected = []
-        residual = z
-        taken = np.zeros(dictionary.d, dtype=bool)
-        for _ in range(k):
-            scores = np.abs(dictionary.analysis(residual)) / dictionary.column_norms
-            scores[taken] = -np.inf
-            j = int(np.argmax(scores))  # first max wins on ties
-            selected.append(j)
-            taken[j] = True
-            P = build_projector(dictionary.columns(selected), support=tuple(selected))
-            residual = P.complement(z)
+
+        def refit(selected):
+            return build_projector(dictionary.columns(selected)).complement(z), None
+
+        for _, _, selected, _, _ in omp_steps(dictionary.analysis, dictionary.column_norms,
+                                              refit, z, k):
+            pass
         return tuple(sorted(selected))
 
 
@@ -259,29 +289,13 @@ class CoSaMPBackend:
 
 @dataclass(frozen=True)
 class L1Backend:
-    """Solve min ||a||_1 s.t. ||D a - z|| <= sigma, keep the k largest entries.
-
-    ``sigma_rel`` scales the residual-ball radius by ||z||; the splitting
-    iteration caps and tolerances are forwarded to the inner solver.
-    """
-
-    sigma_rel: float = 1e-6
-    max_iters: int = 4000
-    tol_abs: float = 1e-8
-    tol_rel: float = 1e-6
+    """Solve min ||a||_1 s.t. ||D a - z|| <= L1_SIGMA_REL ||z||, keep the k largest entries."""
 
     def support(self, dictionary, z, k):
         z = _check_projection_args(dictionary, z, k)
         if np.linalg.norm(z) == 0.0:
             return tuple(range(k))
-        alpha = basis_pursuit_denoise(
-            dictionary.matrix,
-            z,
-            self.sigma_rel * np.linalg.norm(z),
-            max_iters=self.max_iters,
-            tol_abs=self.tol_abs,
-            tol_rel=self.tol_rel,
-        )
+        alpha = basis_pursuit_denoise(dictionary.matrix, z, L1_SIGMA_REL * np.linalg.norm(z))
         return top_k(np.abs(alpha), k)
 
 
@@ -338,7 +352,7 @@ def optimal_projection(dictionary, z, k):
         raise InvalidInputError("z contains non-finite entries")
 
     def exact(support):
-        proj = build_projector(dictionary.columns(support), support=support).apply(z)
+        proj = build_projector(dictionary.columns(support)).apply(z)
         return float(np.linalg.norm(z - proj)), proj
 
     def batch_scores(Q):
@@ -372,7 +386,7 @@ def evaluate_projection_quality(dictionary, z, k, backend):
     if est_support == opt_support:
         est_proj = opt_proj
     else:
-        est_proj = build_projector(dictionary.columns(est_support), support=est_support).apply(z)
+        est_proj = build_projector(dictionary.columns(est_support)).apply(z)
     gap = float(np.linalg.norm(opt_proj - est_proj))
     floor = EPS_DENOMINATOR_FLOOR * float(np.linalg.norm(z))
     opt_size = float(np.linalg.norm(opt_proj))
@@ -382,15 +396,15 @@ def evaluate_projection_quality(dictionary, z, k, backend):
     return ProjectionQuality(eps1=eps1, eps2=eps2, opt_residual=opt_residual)
 
 
-def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, tol_rel=1e-6):
+def basis_pursuit_denoise(M, z, sigma):
     """Solve min ||a||_1 s.t. ||M a - z|| <= sigma by ADMM splitting.
 
     Splits into v = a (soft-threshold step) and u = M a - z (projection onto
-    the sigma-ball).  The penalty starts at ``rho`` and is balanced every
-    ``RHO_BALANCE_EVERY`` iterations: doubled while the primal residual is
-    more than ``RHO_IMBALANCE`` times the dual one, halved in the reverse
-    case, with the scaled duals rescaled to match.  Both constraints share
-    the penalty, so the linear-system step does not depend on it: it
+    the sigma-ball).  The penalty starts at ``ADMM_RHO_START`` and is
+    balanced every ``RHO_BALANCE_EVERY`` iterations: doubled while the primal
+    residual is more than ``RHO_IMBALANCE`` times the dual one, halved in the
+    reverse case, with the scaled duals rescaled to match.  Both constraints
+    share the penalty, so the linear-system step does not depend on it: it
     factors I + M^H M once, via the small Gram side when M is wide.  The
     problem is solved at unit scale (z normalized) and the answer rescaled.
 
@@ -400,7 +414,7 @@ def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, to
     Raises
     ------
     NumericalFailureError
-        If primal/dual residuals fail to meet tolerance within ``max_iters``.
+        If the residuals miss their tolerances within ``ADMM_MAX_ITERS``.
     """
     M = np.asarray(M, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
@@ -436,8 +450,9 @@ def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, to
     u = np.zeros(m, dtype=np.complex128)
     p = np.zeros(d, dtype=np.complex128)  # scaled dual for v = a
     q = np.zeros(m, dtype=np.complex128)  # scaled dual for u = M a - z
+    rho = ADMM_RHO_START
     shrink = 1.0 / rho
-    for it in range(max_iters):
+    for it in range(ADMM_MAX_ITERS):
         a = solve((v - p) + MH @ (zn + u - q))
         Ma = M @ a
         # soft-threshold (prox of the l1 norm, complex-safe)
@@ -455,10 +470,10 @@ def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, to
             np.linalg.norm(v_new - v), np.linalg.norm(MH @ (u_new - u))
         )
         v, u = v_new, u_new
-        eps_pri = math.sqrt(d + m) * tol_abs + tol_rel * max(
+        eps_pri = math.sqrt(d + m) * ADMM_TOL_ABS + ADMM_TOL_REL * max(
             np.linalg.norm(a), np.linalg.norm(v), np.linalg.norm(u), 1.0
         )
-        eps_dual = math.sqrt(d) * tol_abs + tol_rel * rho * math.hypot(
+        eps_dual = math.sqrt(d) * ADMM_TOL_ABS + ADMM_TOL_REL * rho * math.hypot(
             np.linalg.norm(p), np.linalg.norm(MH @ q)
         )
         if r_norm <= eps_pri and s_norm <= eps_dual:
@@ -476,7 +491,7 @@ def basis_pursuit_denoise(M, z, sigma, rho=1.0, max_iters=4000, tol_abs=1e-8, to
             shrink = 1.0 / rho
     raise NumericalFailureError(
         "basis_pursuit_denoise: ADMM did not converge",
-        iteration=max_iters,
+        iteration=ADMM_MAX_ITERS,
         diagnostics={"primal_residual": r_norm, "dual_residual": s_norm, "sigma": sigma,
                      "rho": rho},
     )

@@ -21,9 +21,11 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import build_projector, lstsq, tikhonov_lsq
 from .projections import (
+    L1_SIGMA_REL,
     ThresholdBackend,
     basis_pursuit_denoise,
     cosamp_steps,
+    omp_steps,
     project_support,
     top_k,
 )
@@ -41,6 +43,11 @@ __all__ = [
 STOP_RESIDUAL = "residual_tol"
 STOP_STALL = "stall"
 STOP_MAX_ITERS = "max_iters"
+
+# A run stops when its residual falls to RESIDUAL_TOL * ||y||, or when an
+# iterate moves by at most STALL_TOL times its own norm.
+RESIDUAL_TOL = 1e-12
+STALL_TOL = 1e-10
 
 # Coefficients smaller than this fraction of ||y|| are treated as zero when
 # extracting a support from an l1 solution.
@@ -61,8 +68,6 @@ class SSCoSaMPConfig:
     identify_backend: object = field(default_factory=ThresholdBackend)
     prune_backend: object = field(default_factory=ThresholdBackend)
     max_iters: int = 50
-    residual_tol: float = 1e-12
-    stall_tol: float = 1e-10
     tikhonov_norm_bound: float = math.inf
 
     def __post_init__(self):
@@ -70,8 +75,6 @@ class SSCoSaMPConfig:
             raise InvalidInputError("k must be >= 1")
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be >= 1")
-        if self.residual_tol < 0 or self.stall_tol < 0:
-            raise InvalidInputError("tolerances must be >= 0")
         if not self.tikhonov_norm_bound > 0:
             raise InvalidInputError("tikhonov_norm_bound must be positive")
 
@@ -111,6 +114,15 @@ def _guard_finite(vec, what, iteration):
         raise NumericalFailureError(f"{what} became non-finite", iteration=iteration)
 
 
+def _stop_reason(res_norm, y_norm, step, size):
+    """Why a loop stops at an iterate of norm ``size`` that moved by ``step``, or None."""
+    if res_norm <= RESIDUAL_TOL * y_norm:
+        return STOP_RESIDUAL
+    if step <= STALL_TOL * size:
+        return STOP_STALL
+    return None
+
+
 def _run_backend(backend, dictionary, z, size, phase, iteration):
     try:
         return project_support(backend, dictionary, z, size)
@@ -126,8 +138,8 @@ def sscosamp(A, dictionary, measurements, cfg):
     """Recover a dictionary-sparse signal from y = A x + e.
 
     Runs the proxy / identify / merge / update / prune loop until the
-    relative residual drops below ``cfg.residual_tol``, successive estimates
-    stall, or ``cfg.max_iters`` is reached.
+    relative residual drops to ``RESIDUAL_TOL``, successive estimates stall
+    (``STALL_TOL``), or ``cfg.max_iters`` is reached.
 
     Parameters
     ----------
@@ -153,7 +165,6 @@ def sscosamp(A, dictionary, measurements, cfg):
     gamma = ()
     residual = y.copy()
     records = []
-    stop_reason = STOP_MAX_ITERS
     for it in range(cfg.max_iters):
         # proxy (A is real, so A^H = A^T)
         h = Amat.T @ residual
@@ -170,7 +181,7 @@ def sscosamp(A, dictionary, measurements, cfg):
         # coherent dictionaries the kept support may swap in atoms outside
         # the merged set (it feeds back into the next merge regardless)
         gamma = _run_backend(cfg.prune_backend, dictionary, x_tilde, cfg.k, "prune", it)
-        P = build_projector(dictionary.columns(gamma), support=gamma)
+        P = build_projector(dictionary.columns(gamma))
         x_new = P.apply(x_tilde)
         _guard_finite(x_new, "pruned estimate", it)
         residual = y - Amat @ x_new
@@ -189,17 +200,14 @@ def sscosamp(A, dictionary, measurements, cfg):
         )
         step = float(np.linalg.norm(x_new - x))
         x = x_new
-        if res_norm <= cfg.residual_tol * y_norm:
-            stop_reason = STOP_RESIDUAL
-            break
-        if step <= cfg.stall_tol * float(np.linalg.norm(x)):
-            stop_reason = STOP_STALL
+        stop_reason = _stop_reason(res_norm, y_norm, step, float(np.linalg.norm(x)))
+        if stop_reason:
             break
     return RecoveryTrace(
         algorithm="sscosamp",
         x_hat=x,
         iterations_run=len(records),
-        stop_reason=stop_reason,
+        stop_reason=stop_reason or STOP_MAX_ITERS,
         records=tuple(records),
     )
 
@@ -210,18 +218,19 @@ def _combined_matrix(A, dictionary):
     return A.matrix @ dictionary.matrix
 
 
-def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
-                    norm_bound=math.inf, residual_tol=1e-12, stall_tol=1e-10):
+def cosamp_baseline(A, dictionary, measurements, k, max_iters=50, norm_bound=math.inf):
     """Plain CoSaMP on the combined matrix A D, reported in signal space.
 
     Runs :func:`~sscosamp.projections.cosamp_steps` with the proxy
     (A D)^H r: identification and pruning threshold raw coefficient
     magnitudes, no column renormalization, exactly the classical algorithm.
     The merged-support fit honors ``norm_bound`` like the main algorithm's
-    update step.
+    update step, and the run stops by the same rule.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
+    if max_iters < 1:
+        raise InvalidInputError("max_iters must be >= 1")
     if measurements.m != A.m:
         raise InvalidInputError("measurement length does not match sensing matrix")
     Phi = _combined_matrix(A, dictionary)
@@ -234,7 +243,6 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
     alpha = np.zeros(d, dtype=np.complex128)
     x = np.zeros(dictionary.n, dtype=np.complex128)
     records = []
-    stop_reason = STOP_MAX_ITERS
     steps = cosamp_steps(Phi, Phi.conj().T.__matmul__,
                          lambda cols, rhs: tikhonov_lsq(None, cols, rhs, norm_bound), y, k)
     for it, (h, omega, merged, beta, gamma, coef, residual) in zip(range(max_iters), steps):
@@ -260,25 +268,24 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50,
         step = float(np.linalg.norm(alpha_new - alpha))
         alpha = alpha_new
         x = x_new
-        if res_norm <= residual_tol * y_norm:
-            stop_reason = STOP_RESIDUAL
-            break
-        if step <= stall_tol * float(np.linalg.norm(alpha)):
-            stop_reason = STOP_STALL
+        stop_reason = _stop_reason(res_norm, y_norm, step, float(np.linalg.norm(alpha)))
+        if stop_reason:
             break
     return RecoveryTrace(
         algorithm="cosamp",
         x_hat=x,
         iterations_run=len(records),
-        stop_reason=stop_reason,
+        stop_reason=stop_reason or STOP_MAX_ITERS,
         records=tuple(records),
     )
 
 
 def omp_baseline(A, dictionary, measurements, k):
-    """Greedy correlation pursuit on A D with per-step least-squares refit.
+    """:func:`~sscosamp.projections.omp_steps` on A D, reported in signal space.
 
-    Correlations are divided by the column norms of A D.
+    Correlations are divided by the column norms of A D and each step refits
+    by plain least squares.  Stops early once the residual falls to
+    ``RESIDUAL_TOL`` times ||y||.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -294,22 +301,16 @@ def omp_baseline(A, dictionary, measurements, k):
     weights = np.where(col_norms > 0, col_norms, 1.0)
     # formed after the column norms so it never coexists with their temporaries
     Phi_adj = Phi.conj().T
-    selected = []
-    taken = np.zeros(d, dtype=bool)
-    residual = y.copy()
-    beta = np.zeros(0, dtype=np.complex128)
+
+    def refit(selected):
+        beta = lstsq(Phi[:, selected], y)
+        _guard_finite(beta, "refit coefficients", len(selected) - 1)
+        return y - Phi[:, selected] @ beta, beta
+
     records = []
     stop_reason = STOP_MAX_ITERS
-    for it in range(k):
-        h = Phi_adj @ residual
-        scores = np.abs(h) / weights
-        scores[taken] = -np.inf
-        j = int(np.argmax(scores))
-        selected.append(j)
-        taken[j] = True
-        beta = lstsq(Phi[:, selected], y)
-        _guard_finite(beta, "refit coefficients", it)
-        residual = y - Phi[:, selected] @ beta
+    steps = omp_steps(Phi_adj.__matmul__, weights, refit, y, k)
+    for it, (h, j, selected, residual, beta) in enumerate(steps):
         res_norm = float(np.linalg.norm(residual))
         estimate = dictionary.matrix[:, selected] @ beta
         support = tuple(sorted(selected))
@@ -325,24 +326,22 @@ def omp_baseline(A, dictionary, measurements, k):
                 residual_norm=res_norm,
             )
         )
-        if res_norm <= 1e-12 * y_norm:
+        if res_norm <= RESIDUAL_TOL * y_norm:
             stop_reason = STOP_RESIDUAL
             break
-    x_hat = dictionary.matrix[:, selected] @ beta
     return RecoveryTrace(
         algorithm="omp",
-        x_hat=x_hat,
+        x_hat=estimate,
         iterations_run=len(records),
         stop_reason=stop_reason,
         records=tuple(records),
     )
 
 
-def l1_baseline(A, dictionary, measurements, k, solver_tol=1e-6,
-                sigma_rel=1e-6, max_solver_iters=4000):
+def l1_baseline(A, dictionary, measurements, k):
     """Basis pursuit on A D, then top-k support extraction and debiasing.
 
-    Solves min ||a||_1 s.t. ||A D a - y|| <= sigma_rel * ||y||, keeps the k
+    Solves min ||a||_1 s.t. ||A D a - y|| <= L1_SIGMA_REL * ||y||, keeps the k
     largest-magnitude coefficients above a floor of 1e-12 * ||y||, and refits
     those by plain least squares.  Coefficients all under the floor (e.g.
     k = 0 or pure noise) give the zero estimate.
@@ -356,13 +355,7 @@ def l1_baseline(A, dictionary, measurements, k, solver_tol=1e-6,
     y_norm = float(np.linalg.norm(y))
     support = ()
     if k > 0 and y_norm > 0:
-        alpha = basis_pursuit_denoise(
-            Phi,
-            y,
-            sigma_rel * y_norm,
-            max_iters=max_solver_iters,
-            tol_rel=solver_tol,
-        )
+        alpha = basis_pursuit_denoise(Phi, y, L1_SIGMA_REL * y_norm)
         mags = np.abs(alpha)
         eligible = int(np.count_nonzero(mags > L1_MAGNITUDE_FLOOR * y_norm))
         support = top_k(mags, min(k, eligible))
@@ -384,7 +377,7 @@ def l1_baseline(A, dictionary, measurements, k, solver_tol=1e-6,
         estimate=x_hat,
         residual_norm=res_norm,
     )
-    stop = STOP_RESIDUAL if res_norm <= 1e-12 * max(y_norm, 1e-300) else STOP_MAX_ITERS
+    stop = STOP_RESIDUAL if res_norm <= RESIDUAL_TOL * max(y_norm, 1e-300) else STOP_MAX_ITERS
     return RecoveryTrace(
         algorithm="l1",
         x_hat=x_hat,

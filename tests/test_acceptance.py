@@ -61,7 +61,7 @@ def _near_orthogonal_sensing(rng, n, wobble=0.002):
 
 
 def _projection_residual(dictionary, support, z):
-    P = build_projector(dictionary.columns(support), support=support)
+    P = build_projector(dictionary.columns(support))
     return float(np.linalg.norm(P.complement(z)))
 
 
@@ -222,8 +222,8 @@ def test_criterion_7_property_suites():
         D = _unit_norm_dictionary(rng, n, n)
         big = sorted(int(i) for i in rng.choice(n, size=5, replace=False))
         small = sorted(rng.choice(big, size=2, replace=False))
-        P_big = build_projector(D.columns(big), support=tuple(big))
-        P_small = build_projector(D.columns(small), support=tuple(small))
+        P_big = build_projector(D.columns(big))
+        P_small = build_projector(D.columns(small))
         z = _random_complex(rng, n)
         ok &= float(np.linalg.norm(P_small.apply(P_big.apply(z)) - P_small.apply(z))) \
             <= 1e-9 * max(1.0, float(np.linalg.norm(z)))
@@ -239,7 +239,7 @@ def test_criterion_7_property_suites():
         gram = A.matrix.T @ A.matrix
         for _ in range(8):
             sup = tuple(sorted(int(i) for i in rng3.choice(12, size=3, replace=False)))
-            P = build_projector(D.columns(sup), support=sup).dense()
+            P = build_projector(D.columns(sup)).dense()
             ok &= operator_norm(P @ gram @ P - P) <= delta + 1e-6
     checks["gram-bound"] = ok
 
@@ -252,7 +252,7 @@ def test_criterion_7_property_suites():
         q = evaluate_projection_quality(D, z, 2, ThresholdBackend())
         sup_opt, opt_proj = optimal_projection(D, z, 2)
         sup_est = project_support(ThresholdBackend(), D, z, 2)
-        est_proj = build_projector(D.columns(sup_est), support=sup_est).apply(z)
+        est_proj = build_projector(D.columns(sup_est)).apply(z)
         gap = float(np.linalg.norm(opt_proj - est_proj))
         ok &= abs(q.eps1 - gap / np.linalg.norm(opt_proj)) <= 1e-12 * max(1.0, q.eps1)
         ok &= abs(q.eps2 - gap / np.linalg.norm(z - opt_proj)) <= 1e-12 * max(1.0, q.eps2)

@@ -46,6 +46,9 @@ def test_sweep_config_validation():
         dict(scenario="dft-separated", algorithms=("sscosamp-magic",)),
         dict(scenario="dft-separated", noise_norm=-1.0),
         dict(scenario="dft-separated", tikhonov_bound_factor=0.0),
+        dict(scenario="dft-separated", k=0),
+        dict(scenario="dft-separated", k=-2),
+        dict(scenario="dft-separated", max_iters=-1),
     ]
     for kwargs in bad_configs:
         with pytest.raises(InvalidInputError):
@@ -243,3 +246,11 @@ def test_aggregate_csv_deterministic(tmp_path):
     assert lines[0] == ("scenario,algorithm,m,trials,success_rate,"
                         "mean_snr_db,mean_iterations,mean_wall_ms")
     assert all(line.split(",")[7] == "0.000" for line in lines[1:])
+
+
+def test_sweep_max_iters_0_means_scenario_default():
+    cfg = SweepConfig(**{**TINY, "max_iters": 0, "algorithms": ("cosamp",)})
+    explicit = SweepConfig(**{**TINY, "max_iters": 50, "algorithms": ("cosamp",)})
+    assert bench.SCENARIOS[cfg.scenario].default_max_iters == 50
+    assert [_row_key(r) for r in run_sweep(cfg).rows] == \
+        [_row_key(r) for r in run_sweep(explicit).rows]

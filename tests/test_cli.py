@@ -305,3 +305,18 @@ def test_recover_matches_sweep_trial_0(capsys, algorithm, expected):
 def test_recover_unknown_algorithm_exits_2(capsys):
     assert main(["recover", "--algorithm", "nope", "--m", "24"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_k_0_exits_2_naming_the_key(tmp_path, capsys, monkeypatch):
+    # it used to draw its instances and then fail with "snr_db undefined for
+    # zero reference signal"
+    def no_trials(*args):
+        raise AssertionError("no trial may run")
+
+    monkeypatch.setattr("sscosamp.bench.draw_instance", no_trials)
+    path = _write_config(tmp_path, text=SWEEP_CONFIG.replace("k = 2", "k = 0")
+                         .replace("sscosamp-threshold", "l1"))
+    assert main(["sweep", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "k must be >= 1" in err
+    assert "snr_db" not in err

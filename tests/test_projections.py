@@ -26,6 +26,7 @@ from sscosamp import (
     project_support,
     synthesize,
 )
+from sscosamp import projections
 from sscosamp.projections import top_k
 
 ALL_BACKENDS = [
@@ -204,12 +205,13 @@ def test_quality_definitional_self_consistency():
             assert gap <= bound + 1e-10
 
 
-def test_l1_backend_nonconvergence_raises_with_diagnostics():
+def test_l1_backend_nonconvergence_raises_with_diagnostics(monkeypatch):
     rng = np.random.default_rng(59)
     D = _random_dictionary(rng, 8, 16)
     z = _random_complex(rng, 8)
+    monkeypatch.setattr(projections, "ADMM_MAX_ITERS", 1)
     with pytest.raises(NumericalFailureError) as info:
-        project_support(L1Backend(max_iters=1), D, z, 2)
+        project_support(L1Backend(), D, z, 2)
     assert info.value.iteration == 1
     assert "primal_residual" in info.value.diagnostics
     assert info.value.diagnostics["rho"] == 1.0  # no balancing step yet
@@ -222,14 +224,16 @@ def _perturbed_dft_vector(D, seed):
     return x + 0.1 * np.linalg.norm(x) * bump / np.linalg.norm(bump)
 
 
-def test_l1_backend_converges_with_residual_balancing():
+def test_l1_backend_converges_with_residual_balancing(monkeypatch):
     # with a fixed rho = 1 seeds 0 and 1 ran out of iterations at 4000
     D = build_overcomplete_dft(16, 2)
     for seed in range(4):
         z = _perturbed_dft_vector(D, seed)
         assert project_support(L1Backend(), D, z, 2) == (5, 21)
-        with pytest.raises(NumericalFailureError) as info:
-            project_support(L1Backend(max_iters=50), D, z, 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(projections, "ADMM_MAX_ITERS", 50)
+            with pytest.raises(NumericalFailureError) as info:
+                project_support(L1Backend(), D, z, 2)
         assert info.value.diagnostics["rho"] > 1.0  # balancing raised it
 
 
@@ -283,3 +287,14 @@ def test_cosamp_backend_supports_pinned():
     assert backend.support(D, z1, 3) == (9, 14, 17)
     assert backend.support(D, z2, 2) == (3, 20)
     assert backend.support(D, z2, 3) == (3, 4, 20)
+
+
+def test_omp_backend_supports_pinned():
+    # supports recorded before the backend moved onto omp_steps
+    D = build_overcomplete_dft(16, 2)
+    rng = np.random.default_rng(2026)
+    z1 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    z2 = D.matrix[:, [3, 4, 20]] @ np.array([1.0, -0.5j, 0.8]) + 0.05 * z1
+    backend = OMPBackend()
+    assert [backend.support(D, z1, k) for k in (1, 2, 3)] == [(17,), (9, 17), (9, 14, 17)]
+    assert [backend.support(D, z2, k) for k in (1, 2, 3)] == [(3,), (3, 20), (3, 5, 20)]

@@ -29,6 +29,7 @@ from sscosamp import (
     tikhonov_lsq,
     trace_to_csv,
 )
+from sscosamp import projections
 
 
 def _random_complex(rng, *shape):
@@ -336,12 +337,13 @@ def test_max_iters_stop_reason():
     assert trace.iterations_run == 1
 
 
-def test_backend_failure_carries_iteration_index():
+def test_backend_failure_carries_iteration_index(monkeypatch):
     rng = np.random.default_rng(22)
     D = _unit_norm_dictionary(rng, 8, 16)
     A = draw_gaussian_sensing(6, 8, 22)
     meas = measure(A, _random_complex(rng, 8), 0.0)
-    cfg = SSCoSaMPConfig(k=2, identify_backend=L1Backend(max_iters=1))
+    monkeypatch.setattr(projections, "ADMM_MAX_ITERS", 1)
+    cfg = SSCoSaMPConfig(k=2, identify_backend=L1Backend())
     with pytest.raises(NumericalFailureError) as info:
         sscosamp(A, D, meas, cfg)
     assert info.value.iteration == 0
@@ -359,6 +361,9 @@ def test_dimension_validation():
         SSCoSaMPConfig(k=0)
     with pytest.raises(InvalidInputError):
         SSCoSaMPConfig(k=1, max_iters=0)
+    for max_iters in (0, -1):  # cosamp_baseline used to return the zero estimate
+        with pytest.raises(InvalidInputError, match="max_iters must be >= 1"):
+            cosamp_baseline(A, D, meas, 1, max_iters=max_iters)
     with pytest.raises(InvalidInputError):
         SSCoSaMPConfig(k=1, tikhonov_norm_bound=0.0)
 
@@ -409,3 +414,50 @@ def test_cosamp_baseline_records_pinned(case):
     assert trace.stop_reason == stop
     assert [(r.identify_support, r.merged_support, r.pruned_support, repr(r.residual_norm))
             for r in trace.records] == records
+
+
+# (identify, pruned, repr(residual_norm)) per iteration, recorded before
+# omp_baseline moved onto the shared kernel
+_OMP_PINNED = {
+    "dft": ("residual_tol", [
+        ((25,), (25,), "0.6472814431213708"),
+        ((32,), (25, 32), "0.33705204448938636"),
+        ((50,), (25, 32, 50), "8.07457411561651e-16"),
+    ]),
+    "rescaled-identity": ("residual_tol", [
+        ((3,), (3,), "149.56846140555362"),
+        ((8,), (3, 8), "0.7688977175874401"),
+        ((25,), (3, 8, 25), "1.0294922766524574e-13"),
+    ]),
+    "dft-clustered-k4": ("max_iters", [
+        ((30,), (30,), "0.698683047067244"),
+        ((32,), (30, 32), "0.4070634737846433"),
+        ((28,), (28, 30, 32), "0.17563689914580802"),
+        ((33,), (28, 30, 32, 33), "0.0800816326700715"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OMP_PINNED))
+def test_omp_baseline_records_pinned(case):
+    if case == "rescaled-identity":
+        D = build_rescaled_identity(32, 100.0)
+        A = draw_gaussian_sensing(16, 32, 2)
+        coeffs = draw_sparse_coefficients(32, 3, "uniform", 2)
+        k = 3
+    else:
+        D = build_overcomplete_dft(32, 2)
+        A = draw_gaussian_sensing(16, 32, 1)
+        if case == "dft":
+            coeffs = draw_sparse_coefficients(64, 3, "separated", 1, min_gap=4)
+            k = 3
+        else:
+            coeffs = draw_sparse_coefficients(64, 3, "clustered", 1)
+            k = 4
+    meas = measure(A, synthesize(D, coeffs), 0.0)
+    trace = omp_baseline(A, D, meas, k)
+    stop, records = _OMP_PINNED[case]
+    assert trace.stop_reason == stop
+    assert [(r.identify_support, r.pruned_support, repr(r.residual_norm))
+            for r in trace.records] == records
+    assert np.array_equal(trace.x_hat, trace.records[-1].estimate)

@@ -1,0 +1,280 @@
+"""Print one SHA-256 digest per family of sscosamp outputs.
+
+Run it on two checkouts and compare the lines: equal digests mean the two
+trees compute bit-identical results on everything listed below.
+
+    python3 tools/output_digest.py                  # digests this checkout's src/
+    python3 tools/output_digest.py --src OTHER/src  # digests another tree
+
+Sections:
+
+* ``sweep_csv``: the sweep CSV of every scenario x every algorithm except
+  ``sscosamp-exhaustive``, at n = 16 with and without noise;
+* ``run_algorithm``: per-iteration records and ``x_hat`` of every algorithm
+  on one instance per scenario, plus the text of the ``NumericalFailureError``
+  each one raises when a LAPACK routine fails (on two scenarios);
+* ``projection_study``: ``run_projection_study`` rows for all five backends
+  at two seeds (a failed study digests its error text and diagnostics);
+* ``backend_supports``: ``OMPBackend`` and ``CoSaMPBackend`` supports;
+* ``admm``: the coefficients ``basis_pursuit_denoise`` returns, or its
+  failure text and diagnostics (supports and refits hide small changes);
+* ``mismatch``: exhaustive and greedy ``mismatch`` values and coefficients;
+* ``drip_exact``: exhaustive isometry constants;
+* ``build_projector``: projector bases, rank-deficient ones included.
+
+BLAS is pinned to one thread before numpy loads, so threaded reductions do
+not change the last bits.  It takes about 40 s on a 2-core Xeon VM.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import time
+from pathlib import Path
+from unittest import mock
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import scipy.linalg  # noqa: E402
+
+ALGORITHMS = ("sscosamp-threshold", "sscosamp-omp", "sscosamp-cosamp", "sscosamp-l1",
+              "cosamp", "omp", "l1")
+SEED = 2026
+# scenarios whose runs are repeated with each LAPACK call of _FAILURES failing;
+# the rescaled identity's update fits take the QR path, the DFT's the SVD
+FAILURE_SCENARIOS = ("dft-separated", "rescaled-identity")
+
+
+class Digest:
+    """SHA-256 over the repr of everything fed to it; arrays by their bytes."""
+
+    def __init__(self):
+        self._hash = hashlib.sha256()
+
+    def add(self, *items):
+        for item in items:
+            if isinstance(item, np.ndarray):
+                arr = np.ascontiguousarray(item)
+                self._hash.update(f"{arr.dtype}{arr.shape}".encode())
+                self._hash.update(arr.tobytes())
+            else:
+                self._hash.update(repr(item).encode())
+            self._hash.update(b"|")
+
+    def hexdigest(self):
+        return self._hash.hexdigest()
+
+
+def _add_failure(digest, exc):
+    digest.add(type(exc).__name__, str(exc), getattr(exc, "iteration", None),
+               sorted(getattr(exc, "diagnostics", {}).items()))
+
+
+def _random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _dictionaries(ss):
+    rng = np.random.default_rng(7)
+    M = _random_complex(rng, 12, 30)
+    dup = M[:, :20].copy()
+    dup[:, 7] = dup[:, 3]  # a duplicated column
+    dup[:, 11] = 2.0 * dup[:, 2] + dup[:, 5]  # a dependent one
+    return {
+        "dft16x2": ss.build_overcomplete_dft(16, 2),
+        "dft32x4": ss.build_overcomplete_dft(32, 4),
+        "random12x30": ss.Dictionary(M / np.linalg.norm(M, axis=0)),
+        "duplicates12x20": ss.Dictionary(dup),
+        "rescaled16": ss.build_rescaled_identity(16, 100.0),
+    }
+
+
+def sweep_csv(ss):
+    digest = Digest()
+    for scenario in sorted(ss.SCENARIOS):
+        for noise in (0.0, 0.05):
+            cfg = ss.SweepConfig(scenario=scenario, n=16, k=2, m_grid=(8, 12), trials=1,
+                                 algorithms=ALGORITHMS, noise_norm=noise, master_seed=SEED)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                ss.write_sweep_csv(ss.run_sweep(cfg), "-")
+            digest.add(scenario, noise, out.getvalue())
+    return digest
+
+
+# (owner, attribute) of LAPACK-backed calls made to fail one at a time
+_FAILURES = (
+    (np.linalg, "lstsq"),
+    (np.linalg, "svd"),
+    (scipy.linalg, "qr"),
+    (scipy.linalg, "cho_factor"),
+)
+
+
+def run_algorithm(ss):
+    digest = Digest()
+
+    def record(name, *instance):
+        try:
+            trace = ss.bench.run_algorithm(name, *instance)
+        except ss.NumericalFailureError as exc:
+            _add_failure(digest, exc)
+            return
+        digest.add(trace.algorithm, trace.iterations_run, trace.stop_reason, trace.x_hat)
+        for rec in trace.records:
+            digest.add(rec.iteration, rec.proxy_norm, rec.identify_support, rec.merged_support,
+                       rec.x_tilde, rec.pruned_support, rec.estimate, rec.residual_norm)
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced failure")
+
+    for scenario in sorted(ss.SCENARIOS):
+        cfg = ss.SweepConfig(scenario=scenario, n=16, k=2, m_grid=(10,), trials=1,
+                             algorithms=ALGORITHMS, noise_norm=0.01, master_seed=SEED)
+        spec = ss.SCENARIOS[scenario]
+        dictionary = spec.build_dictionary(cfg.n)
+        A, _, meas, norm_bound, _ = ss.bench.draw_instance(cfg, dictionary, 10, 0)
+        for name in ALGORITHMS:
+            for bound in (norm_bound, 0.05 * norm_bound):
+                digest.add(scenario, name, bound)
+                record(name, A, dictionary, meas, cfg.k, bound, spec.default_max_iters)
+            for owner, attr in _FAILURES if scenario in FAILURE_SCENARIOS else ():
+                digest.add(scenario, name, attr)
+                with mock.patch.object(owner, attr, broken):
+                    record(name, A, dictionary, meas, cfg.k, norm_bound, 5)
+    return digest
+
+
+def projection_study(ss):
+    digest = Digest()
+    D = ss.build_overcomplete_dft(16, 2)
+    for seed in (SEED, 101):
+        for name in ("threshold", "omp", "cosamp", "l1", "exhaustive"):
+            digest.add(seed, name)
+            try:
+                rows = ss.run_projection_study(D, 2, ("separated", "clustered"), (name,), 12, seed)
+            except ss.NumericalFailureError as exc:
+                _add_failure(digest, exc)
+            else:
+                digest.add([(r.backend, r.pattern, r.trial, r.eps1, r.eps2, r.opt_residual)
+                            for r in rows])
+    return digest
+
+
+def backend_supports(ss):
+    digest = Digest()
+    backends = (ss.OMPBackend(), ss.CoSaMPBackend())
+    rng = np.random.default_rng(11)
+    for label, D in _dictionaries(ss).items():
+        for trial in range(40):
+            if trial % 2:
+                z = _random_complex(rng, D.n)
+            else:
+                cols = rng.choice(D.d, size=3, replace=False)
+                z = D.matrix[:, cols] @ _random_complex(rng, 3) + 0.05 * _random_complex(rng, D.n)
+            for k in range(1, 5):
+                for backend in backends:
+                    digest.add(label, trial, k, type(backend).__name__, backend.support(D, z, k))
+    return digest
+
+
+def admm(ss):
+    digest = Digest()
+    rng = np.random.default_rng(23)
+    D = ss.build_overcomplete_dft(16, 2).matrix
+    systems = [(D, D[:, [5, 21]] @ _random_complex(rng, 2) + 0.05 * _random_complex(rng, 16)),
+               (D, _random_complex(rng, 16))]
+    for m, d in ((8, 20), (12, 12), (16, 10)):
+        systems.append((_random_complex(rng, m, d), _random_complex(rng, m)))
+    for M, z in systems:
+        for sigma_rel in (1e-6, 0.1):
+            try:
+                digest.add(ss.basis_pursuit_denoise(M, z, sigma_rel * np.linalg.norm(z)))
+            except ss.NumericalFailureError as exc:
+                _add_failure(digest, exc)
+    return digest
+
+
+def mismatch(ss):
+    digest = Digest()
+    rng = np.random.default_rng(13)
+    for label, D in _dictionaries(ss).items():
+        if D.d > 32:
+            continue  # the exhaustive scan grows as C(d, k)
+        for trial in range(4):
+            x = _random_complex(rng, D.n)
+            for k in (1, 2, 3):
+                for greedy in (False, True):
+                    report = ss.mismatch(D, x, k, greedy=greedy)
+                    coeffs = report.minimizing_coeffs
+                    digest.add(label, trial, k, greedy, report.value, coeffs.support,
+                               coeffs.values)
+    return digest
+
+
+def drip_exact(ss):
+    digest = Digest()
+    rng = np.random.default_rng(17)
+    for trial in range(3):
+        M = _random_complex(rng, 10, 12)
+        D = ss.Dictionary(M / np.linalg.norm(M, axis=0))
+        Q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        A = ss.SensingMatrix(Q + 0.002 * rng.standard_normal((10, 10)) / np.sqrt(10))
+        for k in (1, 2, 4):
+            digest.add(trial, k, ss.drip_exact(A, D, k).delta_lower)
+    for label, D in _dictionaries(ss).items():
+        if D.d <= 20:
+            A = ss.draw_gaussian_sensing(D.n - 2, D.n, 3)
+            digest.add(label, ss.drip_exact(A, D, 2).delta_lower)
+    return digest
+
+
+def build_projector(ss):
+    digest = Digest()
+    rng = np.random.default_rng(19)
+    for label, D in _dictionaries(ss).items():
+        for t in (1, 2, 5, 9):
+            for _ in range(10):
+                cols = rng.choice(D.d, size=t, replace=False)
+                P = ss.build_projector(D.columns(tuple(int(c) for c in cols)))
+                digest.add(label, cols, P.basis)
+    base = _random_complex(rng, 8, 3)
+    hostile = [
+        np.zeros((8, 2)),
+        np.column_stack([base, base[:, 0]]),
+        np.column_stack([base, base[:, 1] + 1e-13 * base[:, 2]]),
+        base[:, :1] * np.array([[1.0, 1e-12]]),
+        _random_complex(rng, 4, 7),  # wide
+    ]
+    for cols in hostile:
+        digest.add(ss.build_projector(cols).basis)
+    return digest
+
+
+SECTIONS = (sweep_csv, run_algorithm, projection_study, backend_supports, admm, mismatch,
+            drip_exact, build_projector)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory holding the sscosamp package to digest")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import sscosamp as ss
+
+    print(f"# sscosamp from {Path(ss.__file__).parent}", file=sys.stderr)
+    for section in SECTIONS:
+        start = time.perf_counter()
+        digest = section(ss)
+        print(f"{section.__name__:17s} {digest.hexdigest()}")
+        print(f"# {section.__name__}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
