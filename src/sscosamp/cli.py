@@ -309,7 +309,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        facts = [f"iteration {exc.iteration}"] if exc.iteration is not None else []
+        facts += [f"{key}={value}" for key, value in sorted(exc.diagnostics.items())]
+        detail = f" ({'; '.join(facts)})" if facts else ""
+        print(f"numerical failure: {exc}{detail}", file=sys.stderr)
         return 3
 
 

@@ -164,6 +164,20 @@ def test_project_eval_l1_completes(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 24
 
 
+def test_project_eval_admm_failure_reports_iteration_and_diagnostics(capsys):
+    rc = main(["project-eval", "--dict", "dft", "--n", "16", "--redundancy", "2",
+               "--k", "2", "--patterns", "separated", "--backends", "l1",
+               "--trials", "4", "--seed", "101"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical failure: basis_pursuit_denoise: ADMM did not converge (iteration 4000; "
+        "dual_residual=3.6308057908582205e-05; primal_residual=3.352863514088589e-06; "
+        "rho=1.0; sigma=1.121439713339793e-06)\n"
+    )
+
+
 def test_drip_csv_output(capsys):
     rc = main(["drip", "--dict", "dft", "--n", "8", "--redundancy", "1",
                "--m", "8", "--k", "2", "--trials", "50", "--seed", "1"])

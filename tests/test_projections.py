@@ -24,6 +24,7 @@ from sscosamp import (
     make_backend,
     optimal_projection,
     project_support,
+    run_projection_study,
     synthesize,
 )
 from sscosamp import projections
@@ -152,6 +153,46 @@ def test_optimal_projection_enumeration_cap():
         optimal_projection(D, _random_complex(rng, 8), 15)
 
 
+def test_optimal_projection_reuses_only_its_last_answer_on_equal_inputs(monkeypatch):
+    scans = []
+    scan = projections.exhaustive_argmin
+    monkeypatch.setattr(projections, "exhaustive_argmin",
+                        lambda *args: scans.append(args) or scan(*args))
+    rng = np.random.default_rng(67)
+    M = _random_complex(rng, 8, 12)
+    D = Dictionary(M)
+    z = _random_complex(rng, 8)
+    support, proj = optimal_projection(D, z, 2)
+    expected = proj.copy()
+    # an equal z gets the last answer back, as a fresh copy
+    again, proj_again = optimal_projection(D, z.copy(), 2)
+    assert len(scans) == 1
+    assert again == support and proj_again is not proj
+    # projections changed in place by the caller do not change the next answer
+    proj[:] = 0.0
+    proj_again[:] = 0.0
+    assert np.array_equal(optimal_projection(D, z, 2)[1], expected)
+    assert len(scans) == 1
+    # a second dictionary built from the same matrix is scanned again
+    twin_support, twin_proj = optimal_projection(Dictionary(M), z, 2)
+    assert len(scans) == 2
+    assert twin_support == support and np.array_equal(twin_proj, expected)
+    # so is a different k
+    assert optimal_projection(D, z, 3)[0] == _reference_support(D, z, 3)
+    assert len(scans) == 3
+    # and a z changed in place since the last call
+    assert optimal_projection(D, z, 2)[0] == support
+    z[:] = _random_complex(rng, 8)
+    assert optimal_projection(D, z, 2)[0] == _reference_support(D, z, 2)
+    assert len(scans) == 5
+
+
+def _reference_support(D, z, k):
+    import itertools
+
+    return min(itertools.combinations(range(D.d), k), key=lambda s: _residual(D, s, z))
+
+
 def test_projection_argument_validation():
     D = build_overcomplete_dft(4, 2)
     with pytest.raises(InvalidInputError):
@@ -209,12 +250,29 @@ def test_l1_backend_nonconvergence_raises_with_diagnostics(monkeypatch):
     rng = np.random.default_rng(59)
     D = _random_dictionary(rng, 8, 16)
     z = _random_complex(rng, 8)
-    monkeypatch.setattr(projections, "ADMM_MAX_ITERS", 1)
+    # the last step's residuals, pinned; 13 is not a multiple of
+    # RHO_BALANCE_EVERY, so the dual residual there serves the diagnostics alone
+    for cap, primal, dual in ((1, "0.6463558242491907", "1.066025918768693e-06"),
+                              (13, "0.2480915970244279", "0.10073928427639864")):
+        monkeypatch.setattr(projections, "ADMM_MAX_ITERS", cap)
+        with pytest.raises(NumericalFailureError) as info:
+            project_support(L1Backend(), D, z, 2)
+        assert info.value.iteration == cap
+        assert repr(info.value.diagnostics["primal_residual"]) == primal
+        assert repr(info.value.diagnostics["dual_residual"]) == dual
+        assert info.value.diagnostics["rho"] == 1.0
+
+
+def test_l1_backend_fails_at_the_iteration_cap_on_one_study_vector():
+    # the one diagnostics L1 vector residual balancing leaves unconverged
+    # (seed 101, separated, trial 3); it converges within 8000 iterations
+    D = build_overcomplete_dft(16, 2)
     with pytest.raises(NumericalFailureError) as info:
-        project_support(L1Backend(), D, z, 2)
-    assert info.value.iteration == 1
-    assert "primal_residual" in info.value.diagnostics
-    assert info.value.diagnostics["rho"] == 1.0  # no balancing step yet
+        run_projection_study(D, 2, ("separated",), ("l1",), 4, 101)
+    assert info.value.iteration == projections.ADMM_MAX_ITERS == 4000
+    assert info.value.diagnostics["rho"] == 1.0
+    assert repr(info.value.diagnostics["primal_residual"]) == "3.352863514088589e-06"
+    assert repr(info.value.diagnostics["dual_residual"]) == "3.6308057908582205e-05"
 
 
 def _perturbed_dft_vector(D, seed):

@@ -14,7 +14,14 @@ Sections:
   on one instance per scenario, plus the text of the ``NumericalFailureError``
   each one raises when a LAPACK routine fails (on two scenarios);
 * ``projection_study``: ``run_projection_study`` rows for all five backends
-  at two seeds (a failed study digests its error text and diagnostics);
+  at two seeds, one backend a study (a failed study digests its error text
+  and diagnostics);
+* ``projection_study_all``: the same studies with all five backends scored on
+  each vector in one call, so every backend after the first gets the
+  exhaustive oracle's answer from ``optimal_projection``'s memo of its last
+  answer; this is the section that exercises that memo (at seed 101 the
+  study stops at the L1 failure of ``separated`` trial 3, whose text and
+  diagnostics it digests);
 * ``backend_supports``: ``OMPBackend`` and ``CoSaMPBackend`` supports;
 * ``admm``: the coefficients ``basis_pursuit_denoise`` returns, or its
   failure text and diagnostics (supports and refits hide small changes);
@@ -23,7 +30,7 @@ Sections:
 * ``build_projector``: projector bases, rank-deficient ones included.
 
 BLAS is pinned to one thread before numpy loads, so threaded reductions do
-not change the last bits.  It takes about 40 s on a 2-core Xeon VM.
+not change the last bits.  It takes about 25 s on a 2-core Xeon VM.
 """
 
 import argparse
@@ -42,6 +49,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import scipy.linalg  # noqa: E402
 
+BACKENDS = ("threshold", "omp", "cosamp", "l1", "exhaustive")
 ALGORITHMS = ("sscosamp-threshold", "sscosamp-omp", "sscosamp-cosamp", "sscosamp-l1",
               "cosamp", "omp", "l1")
 SEED = 2026
@@ -154,16 +162,29 @@ def projection_study(ss):
     digest = Digest()
     D = ss.build_overcomplete_dft(16, 2)
     for seed in (SEED, 101):
-        for name in ("threshold", "omp", "cosamp", "l1", "exhaustive"):
+        for name in BACKENDS:
             digest.add(seed, name)
-            try:
-                rows = ss.run_projection_study(D, 2, ("separated", "clustered"), (name,), 12, seed)
-            except ss.NumericalFailureError as exc:
-                _add_failure(digest, exc)
-            else:
-                digest.add([(r.backend, r.pattern, r.trial, r.eps1, r.eps2, r.opt_residual)
-                            for r in rows])
+            _add_study(digest, ss, D, (name,), seed)
     return digest
+
+
+def projection_study_all(ss):
+    digest = Digest()
+    D = ss.build_overcomplete_dft(16, 2)
+    for seed in (SEED, 101):
+        digest.add(seed)
+        _add_study(digest, ss, D, BACKENDS, seed)
+    return digest
+
+
+def _add_study(digest, ss, D, backends, seed):
+    try:
+        rows = ss.run_projection_study(D, 2, ("separated", "clustered"), backends, 12, seed)
+    except ss.NumericalFailureError as exc:
+        _add_failure(digest, exc)
+    else:
+        digest.add([(r.backend, r.pattern, r.trial, r.eps1, r.eps2, r.opt_residual)
+                    for r in rows])
 
 
 def backend_supports(ss):
@@ -256,8 +277,8 @@ def build_projector(ss):
     return digest
 
 
-SECTIONS = (sweep_csv, run_algorithm, projection_study, backend_supports, admm, mismatch,
-            drip_exact, build_projector)
+SECTIONS = (sweep_csv, run_algorithm, projection_study, projection_study_all, backend_supports,
+            admm, mismatch, drip_exact, build_projector)
 
 
 def main(argv=None):
@@ -272,7 +293,7 @@ def main(argv=None):
     for section in SECTIONS:
         start = time.perf_counter()
         digest = section(ss)
-        print(f"{section.__name__:17s} {digest.hexdigest()}")
+        print(f"{section.__name__:20s} {digest.hexdigest()}")
         print(f"# {section.__name__}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 
