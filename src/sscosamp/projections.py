@@ -343,7 +343,8 @@ def project_support(backend, dictionary, z, k):
     return tuple(sorted(int(i) for i in support))
 
 
-# optimal_projection's last answer, (dictionary, k, z, support, projection)
+# optimal_projection's last answer, (dictionary, k, z, support, projection);
+# it keeps that dictionary alive until the next scan replaces it
 _last_optimal = None
 
 
