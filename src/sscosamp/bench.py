@@ -417,6 +417,8 @@ def run_projection_study(dictionary, k, patterns, backends, trials, seed,
     adds a Gaussian perturbation of relative size ``perturbation_rel`` (an
     exactly sparse vector would make the optimal residual zero and every
     eps2 infinite).  Instance sizes must be within the exhaustive oracle cap.
+    A backend's ``NumericalFailureError`` ends the study; it carries the rows
+    scored before it as ``rows``.
     """
     rows = []
     for p_idx, pattern in enumerate(patterns):
@@ -430,7 +432,11 @@ def run_projection_study(dictionary, k, patterns, backends, trials, seed,
             bump = rng.standard_normal(dictionary.n) + 1j * rng.standard_normal(dictionary.n)
             z = x + perturbation_rel * float(np.linalg.norm(x)) * bump / float(np.linalg.norm(bump))
             for name in backends:
-                quality = evaluate_projection_quality(dictionary, z, k, make_backend(name))
+                try:
+                    quality = evaluate_projection_quality(dictionary, z, k, make_backend(name))
+                except NumericalFailureError as exc:
+                    exc.rows = rows
+                    raise
                 rows.append(
                     ProjectionStudyRow(
                         backend=name, pattern=pattern, trial=trial,

@@ -9,7 +9,8 @@ recover       Run one recovery instance end-to-end and print the trace.
 constants     Evaluate the convergence constants C1, C2 from flags.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment.  Exit
-codes: 0 success, 2 configuration/usage error, 3 numerical failure.
+codes: 0 success, 2 configuration/usage error, 3 numerical failure.  On a
+numerical failure ``project-eval`` still writes the rows scored before it.
 """
 
 import argparse
@@ -140,15 +141,20 @@ def _write_text(path, text):
 
 def _cmd_project_eval(args):
     dictionary = build_dictionary(args.dict, args.n, args.redundancy, args.scale)
-    rows = run_projection_study(
-        dictionary,
-        args.k,
-        patterns=_csv_list(args.patterns),
-        backends=_csv_list(args.backends),
-        trials=args.trials,
-        seed=args.seed if args.seed is not None else 0,
-        perturbation_rel=args.perturbation,
-    )
+    try:
+        rows = run_projection_study(
+            dictionary,
+            args.k,
+            patterns=_csv_list(args.patterns),
+            backends=_csv_list(args.backends),
+            trials=args.trials,
+            seed=args.seed if args.seed is not None else 0,
+            perturbation_rel=args.perturbation,
+        )
+    except NumericalFailureError as exc:
+        # keep the rows scored before the failure; main reports it and exits 3
+        write_quality_csv(exc.rows, args.out)
+        raise
     write_quality_csv(rows, args.out)
     return 0
 

@@ -81,14 +81,26 @@ class Dictionary:
         """
         return self._conj.T @ z
 
-    def columns(self, support):
-        """Return the n-by-|support| submatrix of the given column indices."""
+    def _indices(self, support):
         idx = list(support)
         if not idx:
             raise InvalidInputError("empty support")
         if min(idx) < 0 or max(idx) >= self.d:
             raise InvalidInputError(f"support indices out of range [0, {self.d})")
-        return self.matrix[:, idx]
+        return idx
+
+    def columns(self, support):
+        """Return the n-by-|support| submatrix of the given column indices."""
+        return self.matrix[:, self._indices(support)]
+
+    def sense(self, A, support):
+        """Return the columns of the composed operator A D.
+
+        ``A @ D[:, support]`` for a support, or all of ``A @ D`` when
+        ``support`` is None; A is a :class:`SensingMatrix` on the same n.
+        """
+        _check_same_n(A, self)
+        return A.apply(self.matrix if support is None else self.columns(support))
 
     def adjacent_coherence(self):
         """Max normalized inner product between consecutive columns."""
@@ -142,7 +154,15 @@ class SparseCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class SensingMatrix:
-    """An m-by-n real measurement operator, with the seed it was drawn from."""
+    """An m-by-n real measurement operator, with the seed it was drawn from.
+
+    :meth:`apply` and :meth:`adjoint` multiply complex operands by complex128
+    copies of ``matrix`` and of its transpose, made on first use and kept
+    (2·m·n·16 bytes), so no call casts the real matrix again.  They give the
+    bits of ``matrix @ x`` and ``matrix.T @ r``, for which numpy makes those
+    same copies on every call.  As with :class:`Dictionary`, ``matrix`` must
+    not be changed in place.
+    """
 
     matrix: np.ndarray
     seed: object = None
@@ -162,6 +182,27 @@ class SensingMatrix:
     @property
     def n(self):
         return self.matrix.shape[1]
+
+    @cached_property
+    def _complex(self):
+        return self.matrix.astype(np.complex128)
+
+    @cached_property
+    def _complex_t(self):
+        return np.ascontiguousarray(self.matrix.T, dtype=np.complex128)
+
+    def apply(self, x):
+        """Return A x for a length-n vector or an n-row matrix ``x``."""
+        return self._complex @ x
+
+    def adjoint(self, r):
+        """Return A^H r = A^T r for a length-m vector ``r`` (A is real)."""
+        return self._complex_t @ r
+
+
+def _check_same_n(A, dictionary):
+    if A.n != dictionary.n:
+        raise InvalidInputError("sensing matrix and dictionary disagree on n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +274,36 @@ def build_rescaled_identity(n, scale):
         raise InvalidInputError("scale must be positive")
     diag = np.ones(n)
     diag[: n // 2] = scale
-    return Dictionary(matrix=np.diag(diag), kind="rescaled-identity")
+    return _Diagonal(matrix=np.diag(diag), kind="rescaled-identity")
+
+
+class _Diagonal(Dictionary):
+    """The dictionary :func:`build_rescaled_identity` returns.
+
+    ``matrix`` is diagonal, so analysis, column gathers and the columns of
+    A D scale by the diagonal instead of forming dense products.  Every sum
+    of the dense product has one nonzero term, so the results carry the
+    dense product's bits.
+    """
+
+    @cached_property
+    def _diag(self):
+        return self.matrix.diagonal().copy()
+
+    def analysis(self, z):
+        # + 0.0 turns the -0.0 of a zero entry into the +0.0 a dense sum gives
+        return self._diag.conj() * z + 0.0
+
+    def columns(self, support):
+        idx = self._indices(support)
+        cols = np.zeros((self.n, len(idx)), dtype=np.complex128)
+        cols[idx, np.arange(len(idx))] = self._diag[idx]
+        return cols
+
+    def sense(self, A, support):
+        _check_same_n(A, self)
+        idx = slice(None) if support is None else self._indices(support)
+        return A.matrix[:, idx] * self._diag[idx]
 
 
 def _separated_support(rng, d, k, min_gap, cyclic):

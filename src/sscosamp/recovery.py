@@ -160,22 +160,20 @@ def sscosamp(A, dictionary, measurements, cfg):
         raise InvalidInputError(f"identification needs 2k <= d, got k={cfg.k}, d={dictionary.d}")
     y = measurements.y
     y_norm = float(np.linalg.norm(y))
-    Amat = A.matrix
     x = np.zeros(dictionary.n, dtype=np.complex128)
     gamma = ()
     residual = y.copy()
     records = []
     for it in range(cfg.max_iters):
-        # proxy (A is real, so A^H = A^T)
-        h = Amat.T @ residual
+        # proxy
+        h = A.adjoint(residual)
         # identify
         omega = _run_backend(cfg.identify_backend, dictionary, h, 2 * cfg.k, "identify", it)
         # merge
         merged = tuple(sorted(set(omega) | set(gamma)))
         # update: best fit to y in the span of the merged columns
-        cols = dictionary.columns(merged)
-        beta = tikhonov_lsq(Amat, cols, y, cfg.tikhonov_norm_bound)
-        x_tilde = cols @ beta
+        beta = tikhonov_lsq(None, dictionary.sense(A, merged), y, cfg.tikhonov_norm_bound)
+        x_tilde = dictionary.columns(merged) @ beta
         _guard_finite(x_tilde, "update estimate", it)
         # prune and project; the search runs over the full dictionary, so on
         # coherent dictionaries the kept support may swap in atoms outside
@@ -184,7 +182,7 @@ def sscosamp(A, dictionary, measurements, cfg):
         P = build_projector(dictionary.columns(gamma))
         x_new = P.apply(x_tilde)
         _guard_finite(x_new, "pruned estimate", it)
-        residual = y - Amat @ x_new
+        residual = y - A.apply(x_new)
         res_norm = float(np.linalg.norm(residual))
         records.append(
             IterationRecord(
@@ -212,12 +210,6 @@ def sscosamp(A, dictionary, measurements, cfg):
     )
 
 
-def _combined_matrix(A, dictionary):
-    if A.n != dictionary.n:
-        raise InvalidInputError("sensing matrix and dictionary disagree on n")
-    return A.matrix @ dictionary.matrix
-
-
 def cosamp_baseline(A, dictionary, measurements, k, max_iters=50, norm_bound=math.inf):
     """Plain CoSaMP on the combined matrix A D, reported in signal space.
 
@@ -233,11 +225,10 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50, norm_bound=mat
         raise InvalidInputError("max_iters must be >= 1")
     if measurements.m != A.m:
         raise InvalidInputError("measurement length does not match sensing matrix")
-    Phi = _combined_matrix(A, dictionary)
+    Phi = dictionary.sense(A, None)
     d = Phi.shape[1]
     if 2 * k > d:
         raise InvalidInputError(f"identification needs 2k <= d, got k={k}, d={d}")
-    D = dictionary.matrix
     y = measurements.y
     y_norm = float(np.linalg.norm(y))
     alpha = np.zeros(d, dtype=np.complex128)
@@ -251,15 +242,14 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50, norm_bound=mat
         alpha_new[kept] = coef
         _guard_finite(alpha_new, "coefficient iterate", it)
         res_norm = float(np.linalg.norm(residual))
-        # synthesize on the support, not through the dense matrices
-        x_new = D[:, kept] @ coef
+        x_new = dictionary.columns(kept) @ coef
         records.append(
             IterationRecord(
                 iteration=it,
                 proxy_norm=float(np.linalg.norm(h)),
                 identify_support=omega,
                 merged_support=tuple(merged),
-                x_tilde=D[:, merged] @ beta,
+                x_tilde=dictionary.columns(merged) @ beta,
                 pruned_support=gamma,
                 estimate=x_new,
                 residual_norm=res_norm,
@@ -291,7 +281,7 @@ def omp_baseline(A, dictionary, measurements, k):
         raise InvalidInputError("k must be >= 1")
     if measurements.m != A.m:
         raise InvalidInputError("measurement length does not match sensing matrix")
-    Phi = _combined_matrix(A, dictionary)
+    Phi = dictionary.sense(A, None)
     d = Phi.shape[1]
     if k > d:
         raise InvalidInputError(f"k={k} exceeds d={d}")
@@ -312,7 +302,7 @@ def omp_baseline(A, dictionary, measurements, k):
     steps = omp_steps(Phi_adj.__matmul__, weights, refit, y, k)
     for it, (h, j, selected, residual, beta) in enumerate(steps):
         res_norm = float(np.linalg.norm(residual))
-        estimate = dictionary.matrix[:, selected] @ beta
+        estimate = dictionary.columns(selected) @ beta
         support = tuple(sorted(selected))
         records.append(
             IterationRecord(
@@ -350,7 +340,7 @@ def l1_baseline(A, dictionary, measurements, k):
         raise InvalidInputError("k must be >= 0")
     if measurements.m != A.m:
         raise InvalidInputError("measurement length does not match sensing matrix")
-    Phi = _combined_matrix(A, dictionary)
+    Phi = dictionary.sense(A, None)
     y = measurements.y
     y_norm = float(np.linalg.norm(y))
     support = ()
@@ -361,7 +351,7 @@ def l1_baseline(A, dictionary, measurements, k):
         support = top_k(mags, min(k, eligible))
     if support:
         beta = lstsq(Phi[:, list(support)], y)
-        x_hat = dictionary.matrix[:, list(support)] @ beta
+        x_hat = dictionary.columns(support) @ beta
         residual = y - Phi[:, list(support)] @ beta
     else:
         x_hat = np.zeros(dictionary.n, dtype=np.complex128)

@@ -164,18 +164,29 @@ def test_project_eval_l1_completes(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 24
 
 
+_FAILING_STUDY = ["project-eval", "--dict", "dft", "--n", "16", "--redundancy", "2",
+                  "--k", "2", "--patterns", "separated", "--backends", "l1", "--seed", "101"]
+
+
 def test_project_eval_admm_failure_reports_iteration_and_diagnostics(capsys):
-    rc = main(["project-eval", "--dict", "dft", "--n", "16", "--redundancy", "2",
-               "--k", "2", "--patterns", "separated", "--backends", "l1",
-               "--trials", "4", "--seed", "101"])
+    rc = main(_FAILING_STUDY + ["--trials", "4"])
     assert rc == 3
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert [line.split(",")[2] for line in captured.out.splitlines()[1:]] == ["0", "1", "2"]
     assert captured.err == (
         "numerical failure: basis_pursuit_denoise: ADMM did not converge (iteration 4000; "
         "dual_residual=3.6308057908582205e-05; primal_residual=3.352863514088589e-06; "
         "rho=1.0; sigma=1.121439713339793e-06)\n"
     )
+
+
+def test_project_eval_failure_keeps_the_rows_scored_before_it(tmp_path):
+    # trial 3's L1 solve fails; trials 0-2 are written as a study of 3 trials writes them
+    failed, complete = tmp_path / "failed.csv", tmp_path / "complete.csv"
+    assert main(_FAILING_STUDY + ["--trials", "4", "--out", str(failed)]) == 3
+    assert main(_FAILING_STUDY + ["--trials", "3", "--out", str(complete)]) == 0
+    assert failed.read_text() == complete.read_text()
+    assert len(failed.read_text().splitlines()) == 1 + 3
 
 
 def test_drip_csv_output(capsys):

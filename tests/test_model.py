@@ -224,3 +224,66 @@ def test_hand_built_dft_kind_keeps_matrix_path():
     D = Dictionary(M, kind="dft")
     z = _complex_vector(rng, 8)
     assert np.array_equal(D.analysis(z), M.conj().T @ z)
+
+
+def _same_bits(got, want):
+    # byte comparison: array_equal would equate -0.0 and +0.0
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+@pytest.mark.parametrize("m", [32, 128])
+def test_sensing_apply_and_adjoint_give_the_mixed_products_bits(m):
+    # numpy casts the real matrix (and a C-ordered copy of its transpose)
+    # to complex on each mixed product; the kept copies must match that
+    A = draw_gaussian_sensing(m, 256, m)
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        x = _complex_vector(rng, 256)
+        r = _complex_vector(rng, m)
+        assert _same_bits(A.apply(x), A.matrix @ x)
+        assert _same_bits(A.adjoint(r), A.matrix.T @ r)
+
+
+@pytest.mark.parametrize("m", [32, 128])
+def test_rescaled_identity_operators_give_the_dense_bits(m):
+    D = build_rescaled_identity(256, 100.0)
+    A = draw_gaussian_sensing(m, 256, 5)
+    rng = np.random.default_rng(6)
+    z = _complex_vector(rng, 256)
+    # like an update estimate: zero off its support, and zeros of either sign
+    sparse = np.zeros(256, dtype=complex)
+    sparse[[3, 140, 200]] = _complex_vector(rng, 3)
+    signed = sparse.copy()
+    signed[::2] *= -1.0
+    signed[::3] = np.conj(signed[::3])
+    for vec in (z, sparse, -sparse, signed):
+        assert _same_bits(D.analysis(vec), D.matrix.conj().T @ vec)
+    for S in ([7], [0, 127, 128, 255], sorted(rng.choice(256, 24, replace=False)), [9, 2, 9]):
+        assert _same_bits(D.columns(S), D.matrix[:, S])
+        assert _same_bits(D.sense(A, S), A.matrix @ D.matrix[:, S])
+    assert _same_bits(D.sense(A, None), A.matrix @ D.matrix)
+
+
+def test_dense_sense_gives_the_product_bits():
+    D = build_overcomplete_dft(32, 2)
+    A = draw_gaussian_sensing(12, 32, 4)
+    assert _same_bits(D.sense(A, (3, 40, 41)), A.matrix @ D.matrix[:, [3, 40, 41]])
+    assert _same_bits(D.sense(A, None), A.matrix @ D.matrix)
+
+
+@pytest.mark.parametrize("D", [build_overcomplete_dft(8, 2), build_rescaled_identity(8, 100.0)],
+                         ids=["dft", "rescaled-identity"])
+def test_column_operations_reject_bad_supports(D):
+    A = draw_gaussian_sensing(4, 8, 1)
+    for op in (D.columns, lambda S: D.sense(A, S)):
+        with pytest.raises(InvalidInputError, match="^empty support$"):
+            op(())
+        for S in ([D.d], [-1, 2]):
+            with pytest.raises(InvalidInputError,
+                               match=rf"^support indices out of range \[0, {D.d}\)$"):
+                op(S)
+    for support in (None, [1]):
+        with pytest.raises(InvalidInputError,
+                           match="^sensing matrix and dictionary disagree on n$"):
+            D.sense(draw_gaussian_sensing(4, 6, 1), support)

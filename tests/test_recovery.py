@@ -368,6 +368,16 @@ def test_dimension_validation():
         SSCoSaMPConfig(k=1, tikhonov_norm_bound=0.0)
 
 
+@pytest.mark.parametrize("baseline", [cosamp_baseline, omp_baseline, l1_baseline])
+@pytest.mark.parametrize("D", [build_overcomplete_dft(4, 2), build_rescaled_identity(4, 100.0)],
+                         ids=["dft", "rescaled-identity"])
+def test_baselines_reject_a_dictionary_on_another_n(baseline, D):
+    A = draw_gaussian_sensing(6, 8, 1)
+    meas = measure(A, np.zeros(8), 0.0)
+    with pytest.raises(InvalidInputError, match="^sensing matrix and dictionary disagree on n$"):
+        baseline(A, D, meas, 1)
+
+
 def test_trace_csv_serialization(tmp_path):
     A, D, x, meas = _identity_instance()
     trace = sscosamp(A, D, meas, SSCoSaMPConfig(k=3))

@@ -13,6 +13,9 @@ Sections:
 * ``run_algorithm``: per-iteration records and ``x_hat`` of every algorithm
   on one instance per scenario, plus the text of the ``NumericalFailureError``
   each one raises when a LAPACK routine fails (on two scenarios);
+* ``identity_gate``: the same for ``sscosamp-threshold`` and ``cosamp`` on the
+  rescaled identity at the acceptance gate's size, n = 256 and k = 8, at
+  m = 32 and 128, three trials each (every other section runs at n <= 32);
 * ``projection_study``: ``run_projection_study`` rows for all five backends
   at two seeds, one backend a study (a failed study digests its error text
   and diagnostics);
@@ -124,19 +127,21 @@ _FAILURES = (
 )
 
 
+def _add_run(digest, ss, name, *instance):
+    """Digest one run's records and x_hat, or the failure it raises."""
+    try:
+        trace = ss.bench.run_algorithm(name, *instance)
+    except ss.NumericalFailureError as exc:
+        _add_failure(digest, exc)
+        return
+    digest.add(trace.algorithm, trace.iterations_run, trace.stop_reason, trace.x_hat)
+    for rec in trace.records:
+        digest.add(rec.iteration, rec.proxy_norm, rec.identify_support, rec.merged_support,
+                   rec.x_tilde, rec.pruned_support, rec.estimate, rec.residual_norm)
+
+
 def run_algorithm(ss):
     digest = Digest()
-
-    def record(name, *instance):
-        try:
-            trace = ss.bench.run_algorithm(name, *instance)
-        except ss.NumericalFailureError as exc:
-            _add_failure(digest, exc)
-            return
-        digest.add(trace.algorithm, trace.iterations_run, trace.stop_reason, trace.x_hat)
-        for rec in trace.records:
-            digest.add(rec.iteration, rec.proxy_norm, rec.identify_support, rec.merged_support,
-                       rec.x_tilde, rec.pruned_support, rec.estimate, rec.residual_norm)
 
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("forced failure")
@@ -150,11 +155,28 @@ def run_algorithm(ss):
         for name in ALGORITHMS:
             for bound in (norm_bound, 0.05 * norm_bound):
                 digest.add(scenario, name, bound)
-                record(name, A, dictionary, meas, cfg.k, bound, spec.default_max_iters)
+                _add_run(digest, ss, name, A, dictionary, meas, cfg.k, bound,
+                         spec.default_max_iters)
             for owner, attr in _FAILURES if scenario in FAILURE_SCENARIOS else ():
                 digest.add(scenario, name, attr)
                 with mock.patch.object(owner, attr, broken):
-                    record(name, A, dictionary, meas, cfg.k, norm_bound, 5)
+                    _add_run(digest, ss, name, A, dictionary, meas, cfg.k, norm_bound, 5)
+    return digest
+
+
+def identity_gate(ss):
+    digest = Digest()
+    cfg = ss.SweepConfig(scenario="rescaled-identity", n=256, k=8, m_grid=(32, 128), trials=3,
+                         algorithms=("sscosamp-threshold", "cosamp"), master_seed=SEED)
+    spec = ss.SCENARIOS[cfg.scenario]
+    dictionary = spec.build_dictionary(cfg.n)
+    for m in cfg.m_grid:
+        for trial in range(cfg.trials):
+            A, _, meas, norm_bound, _ = ss.bench.draw_instance(cfg, dictionary, m, trial)
+            for name in cfg.algorithms:
+                digest.add(m, trial, name)
+                _add_run(digest, ss, name, A, dictionary, meas, cfg.k, norm_bound,
+                         spec.default_max_iters)
     return digest
 
 
@@ -277,7 +299,7 @@ def build_projector(ss):
     return digest
 
 
-SECTIONS = (sweep_csv, run_algorithm, projection_study, projection_study_all, backend_supports,
+SECTIONS = (sweep_csv, run_algorithm, identity_gate, projection_study, projection_study_all, backend_supports,
             admm, mismatch, drip_exact, build_projector)
 
 
