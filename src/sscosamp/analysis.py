@@ -137,7 +137,6 @@ class DRipEstimate:
     order_k: int
     delta_lower: float
     trials: int
-    seed: object
     exhaustive: bool = False
 
     @property
@@ -172,7 +171,7 @@ def drip_estimate(A, dictionary, k, trials, seed):
         worst = max(worst, abs((num / denom) ** 2 - 1.0))
     if worst < 0.0:
         raise NumericalFailureError("drip_estimate: every sampled signal was degenerate")
-    return DRipEstimate(order_k=int(k), delta_lower=worst, trials=int(trials), seed=seed)
+    return DRipEstimate(order_k=int(k), delta_lower=worst, trials=int(trials))
 
 
 def drip_exact(A, dictionary, k):
@@ -200,7 +199,7 @@ def drip_exact(A, dictionary, k):
                 eigs = np.linalg.eigvalsh(Qs.conj().transpose(0, 2, 1) @ gram @ Qs)
                 worst = max(worst, float(np.max(np.abs(eigs[:, [0, -1]] - 1.0))))
     return DRipEstimate(order_k=int(k), delta_lower=worst, trials=math.comb(dictionary.d, k),
-                        seed=None, exhaustive=True)
+                        exhaustive=True)
 
 
 @dataclass(frozen=True)
@@ -210,14 +209,13 @@ class MismatchReport:
     ``value`` is  min over supports of  ||x - D a|| + ||x - D a||_1 / sqrt(k)
     with per-support coefficients fit by least squares.  Because the fit
     optimizes only the first term, the reported value is an upper bound on
-    the true mixed-objective infimum (``upper_bound`` is always True).
+    the true mixed-objective infimum.
     """
 
     k: int
     value: float
     minimizing_coeffs: SparseCoefficients
     exhaustive: bool
-    upper_bound: bool = True
 
 
 def mismatch(dictionary, x, k, greedy=False):

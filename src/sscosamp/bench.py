@@ -68,8 +68,13 @@ SNR_CLIP_DB = 300.0
 # stop_reason of a run that raised NumericalFailureError.
 STOP_NUMERICAL_FAILURE = "numerical_failure"
 
+# The scenarios' DFT redundancy d / n and the rescaled identity's large-column
+# scale.
+DFT_REDUNDANCY = 4
+IDENTITY_SCALE = 100.0
 
-def build_dictionary(kind, n, redundancy=1, scale=100.0):
+
+def build_dictionary(kind, n, redundancy, scale):
     """Build a named dictionary family: "dft" or "rescaled-identity"."""
     if kind == "dft":
         return build_overcomplete_dft(n, redundancy)
@@ -85,38 +90,31 @@ class ScenarioSpec:
     name: str
     scenario_id: int
     dictionary_kind: str  # "rescaled-identity" or "dft"
-    redundancy: int = 1
-    scale: float = 100.0
     pattern: str = "uniform"  # "uniform", "separated", "clustered", "hybrid"
-    min_gap: int = 8
     cyclic: bool = False
     complex_values: bool = True
     default_max_iters: int = 50
 
     def build_dictionary(self, n):
-        return build_dictionary(self.dictionary_kind, n, self.redundancy, self.scale)
+        return build_dictionary(self.dictionary_kind, n, DFT_REDUNDANCY, IDENTITY_SCALE)
 
     def draw_coefficients(self, d, k, seed):
-        return draw_sparse_coefficients(
-            d, k, self.pattern, seed,
-            min_gap=self.min_gap, cyclic=self.cyclic,
-            complex_values=self.complex_values,
-        )
+        return draw_sparse_coefficients(d, k, self.pattern, seed, cyclic=self.cyclic,
+                                        complex_values=self.complex_values)
 
 
 SCENARIOS = {
     spec.name: spec
     for spec in [
         ScenarioSpec(name="rescaled-identity", scenario_id=1,
-                     dictionary_kind="rescaled-identity", scale=100.0,
-                     pattern="uniform", complex_values=False),
+                     dictionary_kind="rescaled-identity", pattern="uniform",
+                     complex_values=False),
         ScenarioSpec(name="dft-separated", scenario_id=2, dictionary_kind="dft",
-                     redundancy=4, pattern="separated", min_gap=8, cyclic=True),
+                     pattern="separated", cyclic=True),
         ScenarioSpec(name="dft-clustered", scenario_id=3, dictionary_kind="dft",
-                     redundancy=4, pattern="clustered", default_max_iters=100),
+                     pattern="clustered", default_max_iters=100),
         ScenarioSpec(name="dft-hybrid", scenario_id=4, dictionary_kind="dft",
-                     redundancy=4, pattern="hybrid", min_gap=8,
-                     default_max_iters=100),
+                     pattern="hybrid", default_max_iters=100),
     ]
 }
 

@@ -49,7 +49,7 @@ def lstsq(cols, y):
     return beta
 
 
-def _as_matrix(M, name="matrix"):
+def _as_matrix(M, name):
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-dimensional, got shape {M.shape}")
@@ -218,23 +218,21 @@ def _ridge_constrained(M, y, norm_bound):
     )
 
 
-def tikhonov_lsq(A, cols, y, norm_bound):
-    """Norm-constrained least squares over a dictionary submatrix.
+def tikhonov_lsq(cols, y, norm_bound):
+    """Norm-constrained least squares over a set of columns.
 
-    Solves ``min_b ||y - A @ cols @ b||  s.t.  ||b|| <= norm_bound``.  A tall,
+    Solves ``min_b ||y - cols @ b||  s.t.  ||b|| <= norm_bound``.  A tall,
     well-conditioned system whose plain least-squares solution lies inside
     the bound is answered by one Householder QR.  Every other system goes
     through the SVD: minimum-norm truncation, then ridge regularization with
     the ridge parameter found by bisection on the constraint, to a relative
-    slack of ``TIKHONOV_TOL`` in at most ``TIKHONOV_MAX_BISECT`` steps.  The
-    synthesized signal is ``cols @ b``.
+    slack of ``TIKHONOV_TOL`` in at most ``TIKHONOV_MAX_BISECT`` steps.
 
     Parameters
     ----------
-    A : ndarray (m, n) or None
-        Sensing matrix; ``None`` means the identity (fit ``y ~ cols @ b``).
-    cols : ndarray (n, t)
-        Active dictionary columns (t >= 1).
+    cols : ndarray (m, t)
+        Columns to fit with (t >= 1); the update step passes the columns
+        ``A @ D[:, S]`` of the composed operator.
     y : ndarray (m,)
         Target vector.
     norm_bound : float
@@ -253,21 +251,12 @@ def tikhonov_lsq(A, cols, y, norm_bound):
         raise InvalidInputError("y must have at least one entry")
     if not norm_bound > 0:
         raise InvalidInputError("norm_bound must be positive")
-    if A is None:
-        M = cols
-        if y.shape[0] != cols.shape[0]:
-            raise InvalidInputError("y length does not match cols row count")
-    else:
-        A = _as_matrix(A, "A")
-        if A.shape[1] != cols.shape[0]:
-            raise InvalidInputError("A column count does not match cols row count")
-        if A.shape[0] != y.shape[0]:
-            raise InvalidInputError("A row count does not match y length")
-        M = A @ cols
-    beta = _qr_lstsq(M, y)
+    if y.shape[0] != cols.shape[0]:
+        raise InvalidInputError("y length does not match cols row count")
+    beta = _qr_lstsq(cols, y)
     if beta is not None and np.linalg.norm(beta) <= norm_bound * (1.0 + TIKHONOV_TOL):
         return beta
-    return _ridge_constrained(M, y, norm_bound)
+    return _ridge_constrained(cols, y, norm_bound)
 
 
 def operator_norm(M, iters=200):

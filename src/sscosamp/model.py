@@ -35,13 +35,11 @@ MAX_DICT_ENTRIES = 100_000_000
 class Dictionary:
     """An n-by-d synthesis dictionary with cached column norms.
 
-    ``matrix`` is stored as complex128 regardless of input dtype; ``kind``
-    is a free-form label ("dft", "rescaled-identity", "custom", ...) used in
-    benchmark output.
+    ``matrix`` is stored as complex128 regardless of input dtype.  The
+    builders return subclasses with faster operators for their structure.
     """
 
     matrix: np.ndarray
-    kind: str = "custom"
     column_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -154,7 +152,7 @@ class SparseCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class SensingMatrix:
-    """An m-by-n real measurement operator, with the seed it was drawn from.
+    """An m-by-n real measurement operator.
 
     :meth:`apply` and :meth:`adjoint` multiply complex operands by complex128
     copies of ``matrix`` and of its transpose, made on first use and kept
@@ -165,7 +163,6 @@ class SensingMatrix:
     """
 
     matrix: np.ndarray
-    seed: object = None
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=np.float64)
@@ -243,7 +240,7 @@ def build_overcomplete_dft(n, redundancy):
     t = np.arange(n).reshape(-1, 1)
     j = np.arange(d).reshape(1, -1)
     M = np.exp((2j * np.pi / d) * (t * j)) / math.sqrt(n)
-    return _OvercompleteDFT(matrix=M, kind="dft")
+    return _OvercompleteDFT(matrix=M)
 
 
 class _OvercompleteDFT(Dictionary):
@@ -274,7 +271,7 @@ def build_rescaled_identity(n, scale):
         raise InvalidInputError("scale must be positive")
     diag = np.ones(n)
     diag[: n // 2] = scale
-    return _Diagonal(matrix=np.diag(diag), kind="rescaled-identity")
+    return _Diagonal(matrix=np.diag(diag))
 
 
 class _Diagonal(Dictionary):
@@ -428,7 +425,7 @@ def draw_gaussian_sensing(m, n, seed):
         raise InvalidInputError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((m, n)) / math.sqrt(m)
-    return SensingMatrix(matrix=M, seed=seed)
+    return SensingMatrix(matrix=M)
 
 
 def measure(A, x, noise_norm, seed=None):

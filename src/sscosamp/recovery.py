@@ -95,13 +95,25 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class RecoveryTrace:
-    """Full history of a recovery run plus the final estimate."""
+    """Full history of a recovery run, one record per iteration.
+
+    The final estimate and the iteration count are read from ``records``,
+    so neither can disagree with them.
+    """
 
     algorithm: str
-    x_hat: np.ndarray
-    iterations_run: int
     stop_reason: str
     records: tuple
+
+    @property
+    def x_hat(self):
+        """The final estimate: the last record's ``estimate``."""
+        return self.records[-1].estimate
+
+    @property
+    def iterations_run(self):
+        """The number of iterations: one record each."""
+        return len(self.records)
 
     def errors_to(self, x_true):
         """Per-iteration distances ||x_true - estimate||."""
@@ -172,7 +184,7 @@ def sscosamp(A, dictionary, measurements, cfg):
         # merge
         merged = tuple(sorted(set(omega) | set(gamma)))
         # update: best fit to y in the span of the merged columns
-        beta = tikhonov_lsq(None, dictionary.sense(A, merged), y, cfg.tikhonov_norm_bound)
+        beta = tikhonov_lsq(dictionary.sense(A, merged), y, norm_bound=cfg.tikhonov_norm_bound)
         x_tilde = dictionary.columns(merged) @ beta
         _guard_finite(x_tilde, "update estimate", it)
         # prune and project; the search runs over the full dictionary, so on
@@ -201,13 +213,7 @@ def sscosamp(A, dictionary, measurements, cfg):
         stop_reason = _stop_reason(res_norm, y_norm, step, float(np.linalg.norm(x)))
         if stop_reason:
             break
-    return RecoveryTrace(
-        algorithm="sscosamp",
-        x_hat=x,
-        iterations_run=len(records),
-        stop_reason=stop_reason or STOP_MAX_ITERS,
-        records=tuple(records),
-    )
+    return RecoveryTrace("sscosamp", stop_reason or STOP_MAX_ITERS, tuple(records))
 
 
 def cosamp_baseline(A, dictionary, measurements, k, max_iters=50, norm_bound=math.inf):
@@ -232,17 +238,15 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50, norm_bound=mat
     y = measurements.y
     y_norm = float(np.linalg.norm(y))
     alpha = np.zeros(d, dtype=np.complex128)
-    x = np.zeros(dictionary.n, dtype=np.complex128)
     records = []
     steps = cosamp_steps(Phi, Phi.conj().T.__matmul__,
-                         lambda cols, rhs: tikhonov_lsq(None, cols, rhs, norm_bound), y, k)
+                         lambda cols, rhs: tikhonov_lsq(cols, rhs, norm_bound=norm_bound), y, k)
     for it, (h, omega, merged, beta, gamma, coef, residual) in zip(range(max_iters), steps):
         kept = list(gamma)
         alpha_new = np.zeros(d, dtype=np.complex128)
         alpha_new[kept] = coef
         _guard_finite(alpha_new, "coefficient iterate", it)
         res_norm = float(np.linalg.norm(residual))
-        x_new = dictionary.columns(kept) @ coef
         records.append(
             IterationRecord(
                 iteration=it,
@@ -251,23 +255,16 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50, norm_bound=mat
                 merged_support=tuple(merged),
                 x_tilde=dictionary.columns(merged) @ beta,
                 pruned_support=gamma,
-                estimate=x_new,
+                estimate=dictionary.columns(kept) @ coef,
                 residual_norm=res_norm,
             )
         )
         step = float(np.linalg.norm(alpha_new - alpha))
         alpha = alpha_new
-        x = x_new
         stop_reason = _stop_reason(res_norm, y_norm, step, float(np.linalg.norm(alpha)))
         if stop_reason:
             break
-    return RecoveryTrace(
-        algorithm="cosamp",
-        x_hat=x,
-        iterations_run=len(records),
-        stop_reason=stop_reason or STOP_MAX_ITERS,
-        records=tuple(records),
-    )
+    return RecoveryTrace("cosamp", stop_reason or STOP_MAX_ITERS, tuple(records))
 
 
 def omp_baseline(A, dictionary, measurements, k):
@@ -319,13 +316,7 @@ def omp_baseline(A, dictionary, measurements, k):
         if res_norm <= RESIDUAL_TOL * y_norm:
             stop_reason = STOP_RESIDUAL
             break
-    return RecoveryTrace(
-        algorithm="omp",
-        x_hat=estimate,
-        iterations_run=len(records),
-        stop_reason=stop_reason,
-        records=tuple(records),
-    )
+    return RecoveryTrace("omp", stop_reason, tuple(records))
 
 
 def l1_baseline(A, dictionary, measurements, k):
@@ -368,10 +359,4 @@ def l1_baseline(A, dictionary, measurements, k):
         residual_norm=res_norm,
     )
     stop = STOP_RESIDUAL if res_norm <= RESIDUAL_TOL * max(y_norm, 1e-300) else STOP_MAX_ITERS
-    return RecoveryTrace(
-        algorithm="l1",
-        x_hat=x_hat,
-        iterations_run=1,
-        stop_reason=stop,
-        records=(record,),
-    )
+    return RecoveryTrace("l1", stop, (record,))

@@ -285,7 +285,6 @@ def test_mismatch_zero_for_exactly_sparse_signals():
     report = mismatch(D, x, 2)
     assert report.value < 1e-10
     assert report.exhaustive
-    assert report.upper_bound
     rebuilt = D.columns(report.minimizing_coeffs.support) @ report.minimizing_coeffs.values
     assert np.linalg.norm(rebuilt - x) < 1e-10
 

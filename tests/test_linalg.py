@@ -104,7 +104,7 @@ def test_tikhonov_unconstrained_within_bound():
     A = np.eye(4)
     cols = np.array([[1.0], [0.0], [0.0], [0.0]])
     y = np.array([5.0, 0.0, 0.0, 0.0])
-    beta = tikhonov_lsq(A, cols, y, norm_bound=10.0)
+    beta = tikhonov_lsq(A @ cols, y, norm_bound=10.0)
     assert np.allclose(beta, [5.0], atol=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_tikhonov_lands_on_constraint_boundary():
     A = np.eye(4)
     cols = np.array([[1.0], [0.0], [0.0], [0.0]])
     y = np.array([5.0, 0.0, 0.0, 0.0])
-    beta = tikhonov_lsq(A, cols, y, norm_bound=2.0)
+    beta = tikhonov_lsq(A @ cols, y, norm_bound=2.0)
     assert abs(beta[0] - 2.0) < 1e-6
 
 
@@ -123,7 +123,7 @@ def test_tikhonov_matches_qr_least_squares_when_slack():
     cols = _random_complex(rng, 6, 4)
     y = _random_complex(rng, 12)
     oracle, *_ = scipy.linalg.lstsq(A @ cols, y, lapack_driver="gelsy")
-    beta = tikhonov_lsq(A, cols, y, norm_bound=10.0 * np.linalg.norm(oracle))
+    beta = tikhonov_lsq(A @ cols, y, norm_bound=10.0 * np.linalg.norm(oracle))
     assert np.linalg.norm(beta - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
 
@@ -133,7 +133,7 @@ def test_tikhonov_constraint_enforced_and_residual_ordering():
     y = rng.standard_normal(20)
     free, *_ = np.linalg.lstsq(M, y, rcond=None)
     bound = 0.3 * np.linalg.norm(free)
-    beta = tikhonov_lsq(None, M, y, norm_bound=bound)
+    beta = tikhonov_lsq(M, y, norm_bound=bound)
     assert np.linalg.norm(beta) <= bound * (1.0 + 1e-6)
     assert np.linalg.norm(y - M @ beta) >= np.linalg.norm(y - M @ free) - 1e-12
 
@@ -143,7 +143,7 @@ def test_tikhonov_infinite_bound_gives_min_norm_solution():
     col = rng.standard_normal(6)
     M = np.column_stack([col, col])  # rank deficient on purpose
     y = rng.standard_normal(6)
-    beta = tikhonov_lsq(None, M, y, norm_bound=np.inf)
+    beta = tikhonov_lsq(M, y, norm_bound=np.inf)
     oracle, *_ = np.linalg.lstsq(M, y, rcond=None)
     assert np.linalg.norm(beta - oracle) < 1e-10
 
@@ -167,7 +167,7 @@ def _tall_well_conditioned(seed):
 def test_tikhonov_tall_well_conditioned_matches_lstsq():
     A, cols, y = _tall_well_conditioned(12)
     oracle, *_ = np.linalg.lstsq(A @ cols, y, rcond=None)
-    beta = tikhonov_lsq(A, cols, y, norm_bound=10.0 * np.linalg.norm(oracle))
+    beta = tikhonov_lsq(A @ cols, y, norm_bound=10.0 * np.linalg.norm(oracle))
     assert np.linalg.norm(beta - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
@@ -179,7 +179,7 @@ def test_tikhonov_ill_conditioned_keeps_truncated_min_norm():
     y = _random_complex(np.random.default_rng(13), 256)
     oracle, live = _svd_min_norm(cols, y)
     assert live < 24
-    beta = tikhonov_lsq(None, cols, y, norm_bound=np.inf)
+    beta = tikhonov_lsq(cols, y, norm_bound=np.inf)
     assert np.linalg.norm(beta - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
@@ -189,7 +189,7 @@ def test_tikhonov_wide_system_gives_min_norm_solution():
     y = _random_complex(rng, 8)
     oracle, live = _svd_min_norm(M, y)
     assert live == 8
-    beta = tikhonov_lsq(None, M, y, norm_bound=np.inf)
+    beta = tikhonov_lsq(M, y, norm_bound=np.inf)
     assert np.linalg.norm(beta - oracle) <= 1e-12 * np.linalg.norm(oracle)
     assert np.linalg.norm(M @ beta - y) <= 1e-10 * np.linalg.norm(y)
 
@@ -198,7 +198,7 @@ def test_tikhonov_tall_well_conditioned_bound_active_lands_on_bound():
     A, cols, y = _tall_well_conditioned(15)
     free, *_ = np.linalg.lstsq(A @ cols, y, rcond=None)
     bound = 0.3 * np.linalg.norm(free)
-    beta = tikhonov_lsq(A, cols, y, norm_bound=bound)
+    beta = tikhonov_lsq(A @ cols, y, norm_bound=bound)
     assert abs(np.linalg.norm(beta) - bound) <= 1e-8 * bound
 
 
@@ -212,7 +212,7 @@ def test_tikhonov_lapack_qr_failure_falls_back_to_svd(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg.lapack, "zgeqrf", failing_zgeqrf)
     oracle, live = _svd_min_norm(A @ cols, y)
-    beta = tikhonov_lsq(A, cols, y, norm_bound=np.inf)
+    beta = tikhonov_lsq(A @ cols, y, norm_bound=np.inf)
     assert calls == [(64, 24)]
     assert live == 24
     assert np.array_equal(beta, oracle)
@@ -221,11 +221,11 @@ def test_tikhonov_lapack_qr_failure_falls_back_to_svd(monkeypatch):
 def test_tikhonov_input_validation():
     y = np.ones(3)
     with pytest.raises(InvalidInputError):
-        tikhonov_lsq(None, np.zeros((3, 0)), y, norm_bound=1.0)
+        tikhonov_lsq(np.zeros((3, 0)), y, norm_bound=1.0)
     with pytest.raises(InvalidInputError):
-        tikhonov_lsq(None, np.ones((3, 1)), y, norm_bound=0.0)
-    with pytest.raises(InvalidInputError):
-        tikhonov_lsq(np.eye(4), np.ones((3, 1)), y, norm_bound=1.0)
+        tikhonov_lsq(np.ones((3, 1)), y, norm_bound=0.0)
+    with pytest.raises(InvalidInputError, match="y length does not match"):
+        tikhonov_lsq(np.ones((4, 1)), y, norm_bound=1.0)
 
 
 def test_operator_norm_diagonal_and_zero():

@@ -221,7 +221,7 @@ def test_dft_analysis_matches_adjoint_product(n, redundancy):
 def test_hand_built_dft_kind_keeps_matrix_path():
     rng = np.random.default_rng(9)
     M = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
-    D = Dictionary(M, kind="dft")
+    D = Dictionary(M)
     z = _complex_vector(rng, 8)
     assert np.array_equal(D.analysis(z), M.conj().T @ z)
 

@@ -10,6 +10,7 @@ from sscosamp import (
     ExhaustiveBackend,
     InvalidInputError,
     L1Backend,
+    Measurements,
     NumericalFailureError,
     SSCoSaMPConfig,
     SensingMatrix,
@@ -30,6 +31,7 @@ from sscosamp import (
     trace_to_csv,
 )
 from sscosamp import projections
+from sscosamp.bench import KNOWN_ALGORITHMS, SCENARIOS, run_algorithm
 
 
 def _random_complex(rng, *shape):
@@ -237,7 +239,7 @@ def test_cosamp_synthesis_on_support_matches_dense_products(case):
     for rec in trace.records:
         merged = list(rec.merged_support)
         dense = np.zeros(D.d, dtype=complex)
-        dense[merged] = tikhonov_lsq(None, Phi[:, merged], y, norm_bound)
+        dense[merged] = tikhonov_lsq(Phi[:, merged], y, norm_bound=norm_bound)
         alpha = np.zeros(D.d, dtype=complex)
         alpha[list(rec.pruned_support)] = dense[list(rec.pruned_support)]
         assert close(rec.x_tilde, D.matrix @ dense)
@@ -471,3 +473,77 @@ def test_omp_baseline_records_pinned(case):
     assert [(r.identify_support, r.pruned_support, repr(r.residual_norm))
             for r in trace.records] == records
     assert np.array_equal(trace.x_hat, trace.records[-1].estimate)
+
+
+# (identify, merged, pruned, repr(residual_norm)) per iteration of the
+# signal-space loop on the instance of the baselines' pinned records
+_SSCOSAMP_PINNED = {
+    "threshold": ("stall", [
+        ((5, 10, 24, 25, 26, 60), (5, 10, 24, 25, 26, 60), (24, 25, 26), "0.616491938810104"),
+        ((5, 10, 32, 35, 49, 60), (5, 10, 24, 25, 26, 32, 35, 49, 60), (24, 25, 26),
+         "0.6280584442746892"),
+        ((4, 5, 31, 32, 35, 60), (4, 5, 24, 25, 26, 31, 32, 35, 60), (24, 25, 26),
+         "0.6376701276212987"),
+        ((4, 5, 31, 32, 33, 60), (4, 5, 24, 25, 26, 31, 32, 33, 60), (25, 26, 32),
+         "0.3505351858611328"),
+        ((13, 14, 17, 49, 50, 51), (13, 14, 17, 25, 26, 32, 49, 50, 51), (24, 25, 32),
+         "0.3688457408690273"),
+        ((14, 28, 49, 50, 51, 59), (14, 24, 25, 28, 32, 49, 50, 51, 59), (24, 25, 32),
+         "0.3688457408690273"),
+    ]),
+    "omp": ("residual_tol", [
+        ((4, 10, 18, 25, 32, 60), (4, 10, 18, 25, 32, 60), (25, 32, 60), "0.3278525065672258"),
+        ((14, 19, 29, 35, 45, 50), (14, 19, 25, 29, 32, 35, 45, 50, 60), (25, 32, 50),
+         "5.066818149359798e-16"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_SSCOSAMP_PINNED))
+def test_sscosamp_records_pinned(backend):
+    D = build_overcomplete_dft(32, 2)
+    A = draw_gaussian_sensing(16, 32, 1)
+    coeffs = draw_sparse_coefficients(64, 3, "separated", 1, min_gap=4)
+    meas = measure(A, synthesize(D, coeffs), 0.0)
+    chosen = projections.make_backend(backend)
+    trace = sscosamp(A, D, meas, SSCoSaMPConfig(k=3, identify_backend=chosen,
+                                                prune_backend=chosen))
+    stop, records = _SSCOSAMP_PINNED[backend]
+    assert trace.stop_reason == stop
+    assert [(r.identify_support, r.merged_support, r.pruned_support, repr(r.residual_norm))
+            for r in trace.records] == records
+
+
+@pytest.mark.parametrize("algorithm", KNOWN_ALGORITHMS)
+def test_trace_final_estimate_and_count_come_from_records(algorithm):
+    D = build_overcomplete_dft(8, 2)
+    A = draw_gaussian_sensing(6, 8, 7)
+    coeffs = draw_sparse_coefficients(16, 2, "uniform", 7)
+    meas = measure(A, synthesize(D, coeffs), 0.01, seed=8)
+    trace = run_algorithm(algorithm, A, D, meas, 2, 10.0 * coeffs.norm(), 20)
+    assert trace.x_hat is trace.records[-1].estimate
+    assert trace.iterations_run == len(trace.records)
+
+
+@pytest.mark.parametrize("algorithm", KNOWN_ALGORITHMS)
+@pytest.mark.parametrize("scenario", ["dft-separated", "rescaled-identity"])
+def test_zero_measurements_stop_at_once_with_zero_estimate(scenario, algorithm):
+    D = SCENARIOS[scenario].build_dictionary(16)
+    A = draw_gaussian_sensing(8, 16, 1)
+    trace = run_algorithm(algorithm, A, D, Measurements(np.zeros(8)), 2, math.inf, 50)
+    assert trace.stop_reason == "residual_tol"
+    assert trace.iterations_run == 1
+    assert trace.x_hat.shape == (16,) and not np.any(trace.x_hat)
+
+
+@pytest.mark.parametrize("backend", ["threshold", "omp", "cosamp", "l1", "exhaustive"])
+def test_identify_size_equal_to_d_stops_after_one_iteration(backend):
+    # 2k = d: identify proposes every column, and the merged fit of 16
+    # columns to m = 6 measurements leaves no residual
+    D = build_overcomplete_dft(8, 2)
+    A = draw_gaussian_sensing(6, 8, 2)
+    coeffs = draw_sparse_coefficients(16, 3, "uniform", 3)
+    meas = measure(A, synthesize(D, coeffs), 0.0)
+    trace = run_algorithm(f"sscosamp-{backend}", A, D, meas, 8, 10.0 * coeffs.norm(), 20)
+    assert trace.stop_reason == "residual_tol"
+    assert trace.iterations_run == 1
