@@ -109,6 +109,10 @@ def enumerate_supports(d, k):
     return itertools.combinations(range(d), k)
 
 
+def _supports_per_chunk(n, k):
+    return max(1, SUPPORT_CHUNK_ELEMENTS // (n * k))
+
+
 def support_bases(matrix, k):
     """Orthonormal bases of every size-k column support, a chunk at a time.
 
@@ -123,7 +127,7 @@ def support_bases(matrix, k):
     """
     n, d = matrix.shape
     supports = enumerate_supports(d, k)
-    per_chunk = max(1, SUPPORT_CHUNK_ELEMENTS // (n * k))
+    per_chunk = _supports_per_chunk(n, k)
     rows = np.asarray(matrix, dtype=np.complex128).T
     while True:
         chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(supports, per_chunk)),
@@ -143,6 +147,23 @@ def stacked_residuals(Q, z):
     return z - (Q @ coef[:, :, None])[:, :, 0]
 
 
+# the last one-chunk scan's (matrix, k, chunks) of ``support_bases``; it keeps
+# that matrix alive until a one-chunk scan of another matrix or k replaces it
+_last_bases = None
+
+
+def _scan_bases(matrix, k):
+    """``support_bases(matrix, k)``, kept for the next scan when it is one chunk."""
+    global _last_bases
+    n, d = matrix.shape
+    if math.comb(d, k) > _supports_per_chunk(n, k):
+        return support_bases(matrix, k)  # streamed; the memo stays as it was
+    enumerate_supports(d, k)  # the cap holds on a hit too
+    if _last_bases is None or _last_bases[0] is not matrix or _last_bases[1] != k:
+        _last_bases = (matrix, k, list(support_bases(matrix, k)))
+    return _last_bases[2]
+
+
 def exhaustive_argmin(matrix, k, batch_scores, exact, scale):
     """The first support, in lexicographic order, with the least exact score.
 
@@ -153,11 +174,18 @@ def exhaustive_argmin(matrix, k, batch_scores, exact, scale):
     always among them, is scored again by ``exact`` in lexicographic order,
     and a later one wins only when strictly lower.  Returns
     ``(support, score, result)``.
+
+    When all C(d, k) supports fit in one chunk of ``support_bases``, the
+    chunk is kept and the next scan of the same ``matrix`` object at the same
+    k reuses it, whatever it scores; so ``matrix`` must not change in place.
+    Larger scans stream their chunks and keep nothing.  The kept arrays never
+    leave this function: ``batch_scores`` gets a copy (``Q[full]``) and
+    supports leave as tuples.
     """
     tol = TIE_RTOL * scale
     best = math.inf
     near = []  # (support, score) within tol of the least so far, in order
-    for supports, Q, full in support_bases(matrix, k):
+    for supports, Q, full in _scan_bases(matrix, k):
         scores = np.empty(len(supports))
         scores[full] = batch_scores(Q[full])
         for i in np.flatnonzero(~full):
@@ -360,8 +388,12 @@ def optimal_projection(dictionary, z, k):
 
     The last answer is kept and returned again, as a fresh copy, when the
     next call passes the same ``Dictionary`` object, the same k and an equal
-    z, as happens when several backends are scored on one vector.  A
-    dictionary's matrix must not change in place (see ``Dictionary``).
+    z, as happens when several backends are scored on one vector.  A new z
+    on the same dictionary and k, from this function or from the exhaustive
+    ``analysis.mismatch``, reuses the stacked bases of the last scan when
+    they fit in one chunk (``exhaustive_argmin``), as happens when many
+    vectors are scored against one dictionary.  A dictionary's matrix must
+    not change in place (see ``Dictionary``).
     """
     global _last_optimal
     z = _check_projection_args(dictionary, z, k)

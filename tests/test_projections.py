@@ -1,9 +1,13 @@
 """Support identification backends, the exhaustive oracle, quality ratios."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscosamp import (
     CoSaMPBackend,
@@ -22,6 +26,7 @@ from sscosamp import (
     draw_sparse_coefficients,
     evaluate_projection_quality,
     make_backend,
+    mismatch,
     optimal_projection,
     project_support,
     run_projection_study,
@@ -133,8 +138,6 @@ def test_optimal_projection_zero_vector_lexicographic():
 
 def test_optimal_projection_self_audit():
     # oracle beats every enumerated support, verified via normal equations
-    import itertools
-
     rng = np.random.default_rng(37)
     D = _random_dictionary(rng, 6, 10)
     z = _random_complex(rng, 6)
@@ -188,9 +191,134 @@ def test_optimal_projection_reuses_only_its_last_answer_on_equal_inputs(monkeypa
 
 
 def _reference_support(D, z, k):
-    import itertools
-
     return min(itertools.combinations(range(D.d), k), key=lambda s: _residual(D, s, z))
+
+
+def _reference_mismatch(D, x, k):
+    def score(support):
+        cols = D.columns(support)
+        resid = x - cols @ np.linalg.lstsq(cols, x, rcond=None)[0]
+        return np.linalg.norm(resid) + np.linalg.norm(resid, 1) / math.sqrt(k)
+
+    return min(score(s) for s in itertools.combinations(range(D.d), k))
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    build = projections.support_bases
+    monkeypatch.setattr(projections, "support_bases",
+                        lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(projections, "_last_bases", None)
+    return builds
+
+
+def test_oracle_and_mismatch_share_one_scan_per_matrix_and_k(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    rng = np.random.default_rng(71)
+    M = rng.standard_normal((8, 12))  # real, so every Dictionary(M) casts a new matrix
+    D = Dictionary(M)
+    z1, z2, x = (_random_complex(rng, 8) for _ in range(3))
+    # two vectors through the oracle and one through mismatch: one scan
+    assert optimal_projection(D, z1, 2)[0] == _reference_support(D, z1, 2)
+    assert optimal_projection(D, z2, 2)[0] == _reference_support(D, z2, 2)
+    assert mismatch(D, x, 2).value == pytest.approx(_reference_mismatch(D, x, 2), rel=1e-12)
+    assert len(builds) == 1
+    # a twin dictionary holds another matrix, so it is scanned again
+    twin = Dictionary(M)
+    assert twin.matrix is not D.matrix
+    assert optimal_projection(twin, z1, 2)[0] == _reference_support(D, z1, 2)
+    assert len(builds) == 2
+    # so is a different k, which then replaces the kept bases
+    assert optimal_projection(D, z1, 3)[0] == _reference_support(D, z1, 3)
+    assert optimal_projection(D, z2, 2)[0] == _reference_support(D, z2, 2)
+    assert len(builds) == 4
+    # the bases belong to the matrix object: a dictionary on the same array shares them
+    assert optimal_projection(Dictionary(D.matrix), z1, 2)[0] == _reference_support(D, z1, 2)
+    assert len(builds) == 4
+
+    # a scorer that writes into its stack does not reach the kept bases
+    def vandal(Q):
+        Q[:] = 0.0
+        return np.zeros(len(Q))
+
+    kept = [Q.copy() for _, Q, _ in projections._last_bases[2]]
+    projections.exhaustive_argmin(D.matrix, 2, vandal, lambda s: (0.0, None), 1.0)
+    assert all(_same_bits(Q, copy) for (_, Q, _), copy in zip(projections._last_bases[2], kept))
+    assert optimal_projection(D, x, 2)[0] == _reference_support(D, x, 2)
+    assert len(builds) == 4
+
+
+def test_multi_chunk_scans_are_repeated_and_never_kept(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    monkeypatch.setattr(projections, "SUPPORT_CHUNK_ELEMENTS", 24)  # 3 supports at n=8, k=1
+    rng = np.random.default_rng(73)
+    D = _random_dictionary(rng, 8, 12)
+    small = _random_dictionary(rng, 8, 3)
+    z = _random_complex(rng, 8)
+    for k in (1, 1, 2):
+        y = _random_complex(rng, 8)
+        assert optimal_projection(D, y, k)[0] == _reference_support(D, y, k)
+        assert mismatch(D, z, k).value == pytest.approx(_reference_mismatch(D, z, k), rel=1e-12)
+        assert projections._last_bases is None
+    assert len(builds) == 6
+    # three supports fit one chunk: kept, then left in place by a streamed scan
+    optimal_projection(small, z, 1)
+    mismatch(small, z, 1)
+    assert len(builds) == 7
+    assert projections._last_bases[0] is small.matrix and len(projections._last_bases[2]) == 1
+    mismatch(D, z, 1)
+    assert len(builds) == 8
+    assert projections._last_bases[0] is small.matrix and len(projections._last_bases[2]) == 1
+
+
+@st.composite
+def _oracle_cases(draw):
+    n = draw(st.integers(4, 8))
+    k = draw(st.sampled_from([1, 2, 3]))
+    d = draw(st.integers(k, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = _random_complex(rng, n, d)
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)),
+                                  max_size=3)):
+        M[:, dst] = M[:, src]  # duplicate columns
+    zs = []
+    for exact in draw(st.lists(st.booleans(), min_size=2, max_size=4)):
+        if exact:  # in a k-column span, so the least residual ties at about 0
+            cols = rng.choice(d, size=k, replace=False)
+            zs.append(M[:, cols] @ _random_complex(rng, k))
+        else:
+            zs.append(_random_complex(rng, n))
+    chunk = draw(st.sampled_from([projections.SUPPORT_CHUNK_ELEMENTS, 24]))
+    return Dictionary(M), k, zs, chunk
+
+
+def _oracle_answers(D, z, k, cold):
+    if cold:
+        projections._last_bases = projections._last_optimal = None
+    support, proj = optimal_projection(D, z, k)
+    if cold:
+        projections._last_bases = None
+    report = mismatch(D, z, k)
+    return support, proj, report.value, report.minimizing_coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_cases())
+def test_kept_bases_give_the_answers_of_a_cold_scan(case):
+    D, k, zs, chunk = case
+    with mock.patch.object(projections, "SUPPORT_CHUNK_ELEMENTS", chunk):
+        projections._last_bases = None
+        warm = [_oracle_answers(D, z, k, False) for z in zs]  # all but the first scan hit
+        for z, (support, proj, value, coeffs) in zip(zs, warm):
+            cold_support, cold_proj, cold_value, cold_coeffs = _oracle_answers(D, z, k, True)
+            assert support == cold_support and _same_bits(proj, cold_proj)
+            assert value == cold_value and coeffs.support == cold_coeffs.support
+            assert _same_bits(coeffs.values, cold_coeffs.values)
 
 
 def test_projection_argument_validation():

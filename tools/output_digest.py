@@ -18,7 +18,9 @@ Sections:
   m = 32 and 128, three trials each (every other section runs at n <= 32);
 * ``projection_study``: ``run_projection_study`` rows for all five backends
   at two seeds, one backend a study (a failed study digests its error text
-  and diagnostics);
+  and diagnostics); every oracle scan after the first reuses the stacked
+  bases that ``exhaustive_argmin`` keeps for one dictionary and k, so this
+  section and the next exercise the kept bases;
 * ``projection_study_all``: the same studies with all five backends scored on
   each vector in one call, so every backend after the first gets the
   exhaustive oracle's answer from ``optimal_projection``'s memo of its last
@@ -29,6 +31,9 @@ Sections:
 * ``admm``: the coefficients ``basis_pursuit_denoise`` returns, or its
   failure text and diagnostics (supports and refits hide small changes);
 * ``mismatch``: exhaustive and greedy ``mismatch`` values and coefficients;
+  k changes on every exhaustive call, so each one builds its bases afresh
+  (``random12x30`` at k = 3 streams three chunks) and none reuses the kept
+  ones; ``tests/test_projections.py`` compares memo hits with cold scans;
 * ``drip_exact``: exhaustive isometry constants;
 * ``build_projector``: projector bases, rank-deficient ones included.
 
