@@ -165,8 +165,10 @@ class SweepConfig:
                 raise InvalidInputError(
                     f"unknown algorithm {alg!r}; choose from {KNOWN_ALGORITHMS}"
                 )
-        if self.noise_norm < 0:
-            raise InvalidInputError("noise_norm must be >= 0")
+        if not 0 <= self.noise_norm < math.inf:
+            raise InvalidInputError(f"noise_norm must be finite and >= 0, got {self.noise_norm}")
+        if math.isnan(self.snr_threshold_db):
+            raise InvalidInputError("snr_threshold_db must not be NaN")
         if not self.tikhonov_bound_factor > 0:
             raise InvalidInputError("tikhonov_bound_factor must be positive")
         object.__setattr__(self, "m_grid", grid)
@@ -415,33 +417,30 @@ def run_projection_study(dictionary, k, patterns, backends, trials, seed,
     adds a Gaussian perturbation of relative size ``perturbation_rel`` (an
     exactly sparse vector would make the optimal residual zero and every
     eps2 infinite).  Instance sizes must be within the exhaustive oracle cap.
-    A backend's ``NumericalFailureError`` ends the study; it carries the rows
-    scored before it as ``rows``.
+    A ``NumericalFailureError`` (a backend's, or the support sampler's) ends
+    the study; it carries the rows scored before it as ``rows``.
     """
     rows = []
-    for p_idx, pattern in enumerate(patterns):
-        for trial in range(trials):
-            root = np.random.SeedSequence((seed, p_idx, trial))
-            seed_coeffs, seed_noise = root.spawn(2)
-            coeffs = draw_sparse_coefficients(dictionary.d, k, pattern, seed_coeffs,
-                                              min_gap=max(1, dictionary.d // (4 * k)))
-            x = synthesize(dictionary, coeffs)
-            rng = np.random.default_rng(seed_noise)
-            bump = rng.standard_normal(dictionary.n) + 1j * rng.standard_normal(dictionary.n)
-            z = x + perturbation_rel * float(np.linalg.norm(x)) * bump / float(np.linalg.norm(bump))
-            for name in backends:
-                try:
+    try:
+        for p_idx, pattern in enumerate(patterns):
+            for trial in range(trials):
+                root = np.random.SeedSequence((seed, p_idx, trial))
+                seed_coeffs, seed_noise = root.spawn(2)
+                coeffs = draw_sparse_coefficients(dictionary.d, k, pattern, seed_coeffs,
+                                                  min_gap=max(1, dictionary.d // (4 * k)))
+                x = synthesize(dictionary, coeffs)
+                rng = np.random.default_rng(seed_noise)
+                bump = rng.standard_normal(dictionary.n) + 1j * rng.standard_normal(dictionary.n)
+                scale = perturbation_rel * float(np.linalg.norm(x))
+                z = x + scale * bump / float(np.linalg.norm(bump))
+                for name in backends:
                     quality = evaluate_projection_quality(dictionary, z, k, make_backend(name))
-                except NumericalFailureError as exc:
-                    exc.rows = rows
-                    raise
-                rows.append(
-                    ProjectionStudyRow(
-                        backend=name, pattern=pattern, trial=trial,
-                        eps1=quality.eps1, eps2=quality.eps2,
-                        opt_residual=quality.opt_residual,
-                    )
-                )
+                    rows.append(ProjectionStudyRow(
+                        backend=name, pattern=pattern, trial=trial, eps1=quality.eps1,
+                        eps2=quality.eps2, opt_residual=quality.opt_residual))
+    except NumericalFailureError as exc:
+        exc.rows = rows
+        raise
     return rows
 
 

@@ -438,8 +438,8 @@ def measure(A, x, noise_norm, seed=None):
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] != A.n:
         raise InvalidInputError(f"x must be a length-{A.n} vector")
-    if noise_norm < 0:
-        raise InvalidInputError("noise_norm must be >= 0")
+    if not 0 <= noise_norm < math.inf:
+        raise InvalidInputError(f"noise_norm must be finite and >= 0, got {noise_norm}")
     y = A.matrix @ x
     if noise_norm > 0:
         rng = np.random.default_rng(seed)

@@ -126,11 +126,25 @@ def _guard_finite(vec, what, iteration):
         raise NumericalFailureError(f"{what} became non-finite", iteration=iteration)
 
 
-def _stop_reason(res_norm, y_norm, step, size):
-    """Why a loop stops at an iterate of norm ``size`` that moved by ``step``, or None."""
+def _record(it, h, omega, merged, x_tilde, gamma, estimate, residual):
+    """Iteration ``it``'s record, with the norms of the proxy ``h`` and of ``residual``."""
+    return IterationRecord(
+        iteration=it,
+        proxy_norm=float(np.linalg.norm(h)),
+        identify_support=omega,
+        merged_support=tuple(merged),
+        x_tilde=x_tilde,
+        pruned_support=gamma,
+        estimate=estimate,
+        residual_norm=float(np.linalg.norm(residual)),
+    )
+
+
+def _stop_reason(res_norm, y_norm, new, old):
+    """Why a loop stops at iterate ``new`` after ``old``, or None."""
     if res_norm <= RESIDUAL_TOL * y_norm:
         return STOP_RESIDUAL
-    if step <= STALL_TOL * size:
+    if np.linalg.norm(new - old) <= STALL_TOL * np.linalg.norm(new):
         return STOP_STALL
     return None
 
@@ -195,22 +209,9 @@ def sscosamp(A, dictionary, measurements, cfg):
         x_new = P.apply(x_tilde)
         _guard_finite(x_new, "pruned estimate", it)
         residual = y - A.apply(x_new)
-        res_norm = float(np.linalg.norm(residual))
-        records.append(
-            IterationRecord(
-                iteration=it,
-                proxy_norm=float(np.linalg.norm(h)),
-                identify_support=omega,
-                merged_support=merged,
-                x_tilde=x_tilde,
-                pruned_support=gamma,
-                estimate=x_new,
-                residual_norm=res_norm,
-            )
-        )
-        step = float(np.linalg.norm(x_new - x))
+        records.append(_record(it, h, omega, merged, x_tilde, gamma, x_new, residual))
+        stop_reason = _stop_reason(records[-1].residual_norm, y_norm, x_new, x)
         x = x_new
-        stop_reason = _stop_reason(res_norm, y_norm, step, float(np.linalg.norm(x)))
         if stop_reason:
             break
     return RecoveryTrace("sscosamp", stop_reason or STOP_MAX_ITERS, tuple(records))
@@ -246,22 +247,10 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50, norm_bound=mat
         alpha_new = np.zeros(d, dtype=np.complex128)
         alpha_new[kept] = coef
         _guard_finite(alpha_new, "coefficient iterate", it)
-        res_norm = float(np.linalg.norm(residual))
-        records.append(
-            IterationRecord(
-                iteration=it,
-                proxy_norm=float(np.linalg.norm(h)),
-                identify_support=omega,
-                merged_support=tuple(merged),
-                x_tilde=dictionary.columns(merged) @ beta,
-                pruned_support=gamma,
-                estimate=dictionary.columns(kept) @ coef,
-                residual_norm=res_norm,
-            )
-        )
-        step = float(np.linalg.norm(alpha_new - alpha))
+        records.append(_record(it, h, omega, merged, dictionary.columns(merged) @ beta, gamma,
+                               dictionary.columns(kept) @ coef, residual))
+        stop_reason = _stop_reason(records[-1].residual_norm, y_norm, alpha_new, alpha)
         alpha = alpha_new
-        stop_reason = _stop_reason(res_norm, y_norm, step, float(np.linalg.norm(alpha)))
         if stop_reason:
             break
     return RecoveryTrace("cosamp", stop_reason or STOP_MAX_ITERS, tuple(records))
@@ -298,22 +287,10 @@ def omp_baseline(A, dictionary, measurements, k):
     stop_reason = STOP_MAX_ITERS
     steps = omp_steps(Phi_adj.__matmul__, weights, refit, y, k)
     for it, (h, j, selected, residual, beta) in enumerate(steps):
-        res_norm = float(np.linalg.norm(residual))
         estimate = dictionary.columns(selected) @ beta
         support = tuple(sorted(selected))
-        records.append(
-            IterationRecord(
-                iteration=it,
-                proxy_norm=float(np.linalg.norm(h)),
-                identify_support=(j,),
-                merged_support=support,
-                x_tilde=estimate,
-                pruned_support=support,
-                estimate=estimate,
-                residual_norm=res_norm,
-            )
-        )
-        if res_norm <= RESIDUAL_TOL * y_norm:
+        records.append(_record(it, h, (j,), support, estimate, support, estimate, residual))
+        if records[-1].residual_norm <= RESIDUAL_TOL * y_norm:
             stop_reason = STOP_RESIDUAL
             break
     return RecoveryTrace("omp", stop_reason, tuple(records))
@@ -347,16 +324,7 @@ def l1_baseline(A, dictionary, measurements, k):
     else:
         x_hat = np.zeros(dictionary.n, dtype=np.complex128)
         residual = y.copy()
-    res_norm = float(np.linalg.norm(residual))
-    record = IterationRecord(
-        iteration=0,
-        proxy_norm=float(np.linalg.norm(Phi.conj().T @ y)),
-        identify_support=support,
-        merged_support=support,
-        x_tilde=x_hat,
-        pruned_support=support,
-        estimate=x_hat,
-        residual_norm=res_norm,
-    )
-    stop = STOP_RESIDUAL if res_norm <= RESIDUAL_TOL * max(y_norm, 1e-300) else STOP_MAX_ITERS
+    record = _record(0, Phi.conj().T @ y, support, support, x_hat, support, x_hat, residual)
+    tol = RESIDUAL_TOL * max(y_norm, 1e-300)
+    stop = STOP_RESIDUAL if record.residual_norm <= tol else STOP_MAX_ITERS
     return RecoveryTrace("l1", stop, (record,))

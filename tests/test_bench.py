@@ -45,6 +45,9 @@ def test_sweep_config_validation():
         dict(scenario="dft-separated", algorithms=()),
         dict(scenario="dft-separated", algorithms=("sscosamp-magic",)),
         dict(scenario="dft-separated", noise_norm=-1.0),
+        dict(scenario="dft-separated", noise_norm=math.nan),
+        dict(scenario="dft-separated", noise_norm=math.inf),
+        dict(scenario="dft-separated", snr_threshold_db=math.nan),
         dict(scenario="dft-separated", tikhonov_bound_factor=0.0),
         dict(scenario="dft-separated", k=0),
         dict(scenario="dft-separated", k=-2),

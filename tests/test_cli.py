@@ -189,6 +189,17 @@ def test_project_eval_failure_keeps_the_rows_scored_before_it(tmp_path):
     assert len(failed.read_text().splitlines()) == 1 + 3
 
 
+def test_project_eval_support_sampler_failure_exits_3(capsys):
+    # the hybrid sampler cannot fill d = k = 8; its failure used to escape
+    # without the rows and end in an AttributeError
+    rc = main(["project-eval", "--dict", "dft", "--n", "4", "--redundancy", "2", "--k", "8",
+               "--patterns", "hybrid", "--backends", "threshold", "--trials", "1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["backend,pattern,trial,eps1,eps2,opt_residual"]
+    assert captured.err.startswith("numerical failure: hybrid support sampling")
+
+
 def test_drip_csv_output(capsys):
     rc = main(["drip", "--dict", "dft", "--n", "8", "--redundancy", "1",
                "--m", "8", "--k", "2", "--trials", "50", "--seed", "1"])
@@ -330,6 +341,12 @@ def test_recover_matches_sweep_trial_0(capsys, algorithm, expected):
 def test_recover_unknown_algorithm_exits_2(capsys):
     assert main(["recover", "--algorithm", "nope", "--m", "24"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_nan_noise_norm_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, text=SWEEP_CONFIG + "noise_norm = nan\n")
+    assert main(["sweep", "--config", path]) == 2
+    assert "noise_norm must be finite" in capsys.readouterr().err
 
 
 def test_sweep_k_0_exits_2_naming_the_key(tmp_path, capsys, monkeypatch):

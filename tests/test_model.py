@@ -176,6 +176,14 @@ def test_measure_noise_norm_exact_and_reproducible():
     assert abs(np.linalg.norm(m1.y - A.matrix @ x) - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("noise_norm", [-1.0, math.nan, math.inf, -math.inf])
+def test_measure_rejects_a_negative_or_non_finite_noise_norm(noise_norm):
+    # a NaN norm used to give a noiseless y tagged noise_norm=nan
+    A = SensingMatrix(np.eye(4))
+    with pytest.raises(InvalidInputError, match="noise_norm"):
+        measure(A, np.ones(4), noise_norm, seed=0)
+
+
 def test_gaussian_sensing_deterministic_and_scaled():
     A1 = draw_gaussian_sensing(4, 4, 123)
     A2 = draw_gaussian_sensing(4, 4, 123)

@@ -32,6 +32,13 @@ from sscosamp import (
 )
 from sscosamp import projections
 from sscosamp.bench import KNOWN_ALGORITHMS, SCENARIOS, run_algorithm
+from sscosamp.linalg import lstsq
+
+
+def _same_bits(got, want):
+    # byte comparison: array_equal would equate -0.0 and +0.0
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
 
 
 def _random_complex(rng, *shape):
@@ -390,25 +397,27 @@ def test_trace_csv_serialization(tmp_path):
     assert len(lines) == 1 + trace.iterations_run
 
 
-# (identify, merged, pruned, repr(residual_norm)) per iteration, recorded
-# before cosamp_baseline moved onto the shared kernel
+# (identify, merged, pruned, repr(proxy_norm), repr(residual_norm)) per
+# iteration, recorded before cosamp_baseline moved onto the shared kernel
+# (the proxy norms before the loops shared ``recovery._record``)
 _COSAMP_PINNED_HEAD = [
-    ((5, 10, 24, 25, 26, 60), (5, 10, 24, 25, 26, 60), (24, 25, 26), "0.6098965227173717"),
+    ((5, 10, 24, 25, 26, 60), (5, 10, 24, 25, 26, 60), (24, 25, 26), "2.658411258341981",
+     "0.6098965227173717"),
     ((5, 10, 32, 35, 49, 60), (5, 10, 24, 25, 26, 32, 35, 49, 60), (24, 25, 32),
-     "0.45370542843344575"),
+     "1.3761615591013459", "0.45370542843344575"),
 ]
 _COSAMP_PINNED = {
     "bounded": ("stall", _COSAMP_PINNED_HEAD + [
         ((10, 25, 26, 35, 44, 50), (10, 24, 25, 26, 32, 35, 44, 50), (25, 32, 50),
-         "0.12756900016630288"),
+         "0.9672503353214715", "0.12756900016630288"),
         ((10, 18, 24, 25, 26, 59), (10, 18, 24, 25, 26, 32, 50, 59), (25, 32, 50),
-         "0.13742930173798085"),
+         "0.29441630368926536", "0.13742930173798085"),
         ((10, 18, 24, 25, 26, 59), (10, 18, 24, 25, 26, 32, 50, 59), (25, 32, 50),
-         "0.13742930173798085"),
+         "0.31951423903623666", "0.13742930173798085"),
     ]),
     "unbounded": ("residual_tol", _COSAMP_PINNED_HEAD + [
         ((10, 25, 26, 35, 44, 50), (10, 24, 25, 26, 32, 35, 44, 50), (25, 32, 50),
-         "1.2138106967135508e-15"),
+         "0.9672503353214715", "1.2138106967135508e-15"),
     ]),
 }
 
@@ -424,28 +433,29 @@ def test_cosamp_baseline_records_pinned(case):
     trace = cosamp_baseline(A, D, meas, 3, norm_bound=bound)
     stop, records = _COSAMP_PINNED[case]
     assert trace.stop_reason == stop
-    assert [(r.identify_support, r.merged_support, r.pruned_support, repr(r.residual_norm))
-            for r in trace.records] == records
+    assert [(r.identify_support, r.merged_support, r.pruned_support, repr(r.proxy_norm),
+             repr(r.residual_norm)) for r in trace.records] == records
 
 
-# (identify, pruned, repr(residual_norm)) per iteration, recorded before
-# omp_baseline moved onto the shared kernel
+# (identify, pruned, repr(proxy_norm), repr(residual_norm)) per iteration,
+# recorded before omp_baseline moved onto the shared kernel (the proxy norms
+# before the loops shared ``recovery._record``)
 _OMP_PINNED = {
     "dft": ("residual_tol", [
-        ((25,), (25,), "0.6472814431213708"),
-        ((32,), (25, 32), "0.33705204448938636"),
-        ((50,), (25, 32, 50), "8.07457411561651e-16"),
+        ((25,), (25,), "2.658411258341981", "0.6472814431213708"),
+        ((32,), (25, 32), "1.486080398620243", "0.33705204448938636"),
+        ((50,), (25, 32, 50), "0.7331643159479508", "8.07457411561651e-16"),
     ]),
     "rescaled-identity": ("residual_tol", [
-        ((3,), (3,), "149.56846140555362"),
-        ((8,), (3, 8), "0.7688977175874401"),
-        ((25,), (3, 8, 25), "1.0294922766524574e-13"),
+        ((3,), (3,), "68059.91445103702", "149.56846140555362"),
+        ((8,), (3, 8), "22044.16687960956", "0.7688977175874401"),
+        ((25,), (3, 8, 25), "55.411035677794864", "1.0294922766524574e-13"),
     ]),
     "dft-clustered-k4": ("max_iters", [
-        ((30,), (30,), "0.698683047067244"),
-        ((32,), (30, 32), "0.4070634737846433"),
-        ((28,), (28, 30, 32), "0.17563689914580802"),
-        ((33,), (28, 30, 32, 33), "0.0800816326700715"),
+        ((30,), (30,), "2.902712163342434", "0.698683047067244"),
+        ((32,), (30, 32), "1.7357099589763874", "0.4070634737846433"),
+        ((28,), (28, 30, 32), "0.9044276035077451", "0.17563689914580802"),
+        ((33,), (28, 30, 32, 33), "0.35944645354252036", "0.0800816326700715"),
     ]),
 }
 
@@ -470,31 +480,34 @@ def test_omp_baseline_records_pinned(case):
     trace = omp_baseline(A, D, meas, k)
     stop, records = _OMP_PINNED[case]
     assert trace.stop_reason == stop
-    assert [(r.identify_support, r.pruned_support, repr(r.residual_norm))
+    assert [(r.identify_support, r.pruned_support, repr(r.proxy_norm), repr(r.residual_norm))
             for r in trace.records] == records
     assert np.array_equal(trace.x_hat, trace.records[-1].estimate)
 
 
-# (identify, merged, pruned, repr(residual_norm)) per iteration of the
-# signal-space loop on the instance of the baselines' pinned records
+# (identify, merged, pruned, repr(proxy_norm), repr(residual_norm)) per
+# iteration of the signal-space loop on the instance of the baselines'
+# pinned records, recorded before the loops shared ``recovery._record``
 _SSCOSAMP_PINNED = {
     "threshold": ("stall", [
-        ((5, 10, 24, 25, 26, 60), (5, 10, 24, 25, 26, 60), (24, 25, 26), "0.616491938810104"),
+        ((5, 10, 24, 25, 26, 60), (5, 10, 24, 25, 26, 60), (24, 25, 26), "1.8797806279562783",
+         "0.616491938810104"),
         ((5, 10, 32, 35, 49, 60), (5, 10, 24, 25, 26, 32, 35, 49, 60), (24, 25, 26),
-         "0.6280584442746892"),
+         "0.9937505805561344", "0.6280584442746892"),
         ((4, 5, 31, 32, 35, 60), (4, 5, 24, 25, 26, 31, 32, 35, 60), (24, 25, 26),
-         "0.6376701276212987"),
+         "1.0260411281541086", "0.6376701276212987"),
         ((4, 5, 31, 32, 33, 60), (4, 5, 24, 25, 26, 31, 32, 33, 60), (25, 26, 32),
-         "0.3505351858611328"),
+         "1.0392419737540535", "0.3505351858611328"),
         ((13, 14, 17, 49, 50, 51), (13, 14, 17, 25, 26, 32, 49, 50, 51), (24, 25, 32),
-         "0.3688457408690273"),
+         "0.5564651190382197", "0.3688457408690273"),
         ((14, 28, 49, 50, 51, 59), (14, 24, 25, 28, 32, 49, 50, 51, 59), (24, 25, 32),
-         "0.3688457408690273"),
+         "0.6413449342385859", "0.3688457408690273"),
     ]),
     "omp": ("residual_tol", [
-        ((4, 10, 18, 25, 32, 60), (4, 10, 18, 25, 32, 60), (25, 32, 60), "0.3278525065672258"),
+        ((4, 10, 18, 25, 32, 60), (4, 10, 18, 25, 32, 60), (25, 32, 60), "1.8797806279562783",
+         "0.3278525065672258"),
         ((14, 19, 29, 35, 45, 50), (14, 19, 25, 29, 32, 35, 45, 50, 60), (25, 32, 50),
-         "5.066818149359798e-16"),
+         "0.48385308146572115", "5.066818149359798e-16"),
     ]),
 }
 
@@ -510,8 +523,36 @@ def test_sscosamp_records_pinned(backend):
                                                 prune_backend=chosen))
     stop, records = _SSCOSAMP_PINNED[backend]
     assert trace.stop_reason == stop
-    assert [(r.identify_support, r.merged_support, r.pruned_support, repr(r.residual_norm))
-            for r in trace.records] == records
+    assert [(r.identify_support, r.merged_support, r.pruned_support, repr(r.proxy_norm),
+             repr(r.residual_norm)) for r in trace.records] == records
+
+
+# (k, noise_norm) -> (stop, support, repr(proxy_norm), repr(residual_norm)) of
+# l1_baseline's one record on the instance of the pinned records above,
+# recorded before the loops shared ``recovery._record``
+_L1_PINNED = {
+    (3, 0.0): ("residual_tol", (25, 32, 50), "2.658411258341981", "8.07457411561651e-16"),
+    (3, 0.05): ("max_iters", (25, 32, 50), "2.677765751815538", "0.041560379646698474"),
+    (2, 0.05): ("max_iters", (25, 32), "2.677765751815538", "0.32483112690694116"),
+}
+
+
+@pytest.mark.parametrize("k, noise", sorted(_L1_PINNED))
+def test_l1_baseline_record_pinned(k, noise):
+    D = build_overcomplete_dft(32, 2)
+    A = draw_gaussian_sensing(16, 32, 1)
+    coeffs = draw_sparse_coefficients(64, 3, "separated", 1, min_gap=4)
+    meas = measure(A, synthesize(D, coeffs), noise, seed=4)
+    trace = l1_baseline(A, D, meas, k)
+    (record,) = trace.records
+    assert (trace.stop_reason, record.identify_support, repr(record.proxy_norm),
+            repr(record.residual_norm)) == _L1_PINNED[k, noise]
+    assert record.merged_support == record.pruned_support == record.identify_support
+    assert record.x_tilde is record.estimate is trace.x_hat
+    # the debiasing refit: plain least squares on the kept columns of A D
+    cols = list(record.pruned_support)
+    beta = lstsq(D.sense(A, None)[:, cols], meas.y)
+    assert _same_bits(trace.x_hat, D.columns(record.pruned_support) @ beta)
 
 
 @pytest.mark.parametrize("algorithm", KNOWN_ALGORITHMS)

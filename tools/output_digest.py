@@ -33,7 +33,12 @@ Sections:
 * ``mismatch``: exhaustive and greedy ``mismatch`` values and coefficients;
   k changes on every exhaustive call, so each one builds its bases afresh
   (``random12x30`` at k = 3 streams three chunks) and none reuses the kept
-  ones; ``tests/test_projections.py`` compares memo hits with cold scans;
+  ones;
+* ``mismatch_kept``: exhaustive ``mismatch`` values and coefficients of
+  twelve vectors on one 16 x 32 DFT at k = 2, so every scan after the first
+  reuses the bases that ``exhaustive_argmin`` keeps; this is the section
+  that compares those memo hits across trees (``tests/test_projections.py``
+  compares them with cold scans within one tree);
 * ``drip_exact``: exhaustive isometry constants;
 * ``build_projector``: projector bases, rank-deficient ones included.
 
@@ -265,6 +270,22 @@ def mismatch(ss):
     return digest
 
 
+def mismatch_kept(ss):
+    digest = Digest()
+    rng = np.random.default_rng(29)
+    D = ss.build_overcomplete_dft(16, 2)
+    for trial in range(12):
+        if trial % 2:
+            x = _random_complex(rng, D.n)
+        else:
+            cols = rng.choice(D.d, size=2, replace=False)
+            x = D.matrix[:, cols] @ _random_complex(rng, 2) + 0.05 * _random_complex(rng, D.n)
+        report = ss.mismatch(D, x, 2)
+        coeffs = report.minimizing_coeffs
+        digest.add(trial, report.value, coeffs.support, coeffs.values)
+    return digest
+
+
 def drip_exact(ss):
     digest = Digest()
     rng = np.random.default_rng(17)
@@ -304,8 +325,8 @@ def build_projector(ss):
     return digest
 
 
-SECTIONS = (sweep_csv, run_algorithm, identity_gate, projection_study, projection_study_all, backend_supports,
-            admm, mismatch, drip_exact, build_projector)
+SECTIONS = (sweep_csv, run_algorithm, identity_gate, projection_study, projection_study_all,
+            backend_supports, admm, mismatch, mismatch_kept, drip_exact, build_projector)
 
 
 def main(argv=None):
