@@ -2,139 +2,21 @@
 dictionaries: a signal-space CoSaMP implementation with pluggable support
 identification backends, baseline algorithms, isometry diagnostics, and a
 deterministic Monte-Carlo benchmark harness.
+
+Each library module's ``__all__`` is the one list of its public names; the
+package re-exports all of them.
 """
 
-from .analysis import (
-    DRipEstimate,
-    EnvelopeReport,
-    MismatchReport,
-    TailCheckResult,
-    TheoremConstants,
-    corollary1_envelope,
-    drip_estimate,
-    drip_exact,
-    mismatch,
-    snr_db,
-    theorem1_constants,
-    upper_rip_tail_check,
-)
-from .bench import (
-    SCENARIOS,
-    ProjectionStudyRow,
-    ScenarioSpec,
-    SweepConfig,
-    SweepResult,
-    TrialResult,
-    run_projection_study,
-    run_sweep,
-    trace_to_csv,
-    write_aggregate_csv,
-    write_quality_csv,
-    write_sweep_csv,
-)
-from .errors import (
-    InstanceTooLargeError,
-    InvalidInputError,
-    NumericalFailureError,
-    SparseRecoveryError,
-)
-from .linalg import OrthoProjector, build_projector, operator_norm, tikhonov_lsq
-from .model import (
-    Dictionary,
-    Measurements,
-    SensingMatrix,
-    SparseCoefficients,
-    build_overcomplete_dft,
-    build_rescaled_identity,
-    draw_gaussian_sensing,
-    draw_sparse_coefficients,
-    measure,
-    synthesize,
-)
-from .projections import (
-    CoSaMPBackend,
-    ExhaustiveBackend,
-    L1Backend,
-    OMPBackend,
-    ProjectionQuality,
-    ThresholdBackend,
-    basis_pursuit_denoise,
-    evaluate_projection_quality,
-    make_backend,
-    optimal_projection,
-    project_support,
-)
-from .recovery import (
-    IterationRecord,
-    RecoveryTrace,
-    SSCoSaMPConfig,
-    cosamp_baseline,
-    l1_baseline,
-    omp_baseline,
-    sscosamp,
-)
+from . import analysis, bench, errors, linalg, model, projections, recovery
+from .analysis import *  # noqa: F401,F403
+from .bench import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .projections import *  # noqa: F401,F403
+from .recovery import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoSaMPBackend",
-    "DRipEstimate",
-    "Dictionary",
-    "EnvelopeReport",
-    "ExhaustiveBackend",
-    "InstanceTooLargeError",
-    "InvalidInputError",
-    "IterationRecord",
-    "L1Backend",
-    "Measurements",
-    "MismatchReport",
-    "NumericalFailureError",
-    "OMPBackend",
-    "OrthoProjector",
-    "ProjectionQuality",
-    "ProjectionStudyRow",
-    "RecoveryTrace",
-    "SCENARIOS",
-    "SSCoSaMPConfig",
-    "ScenarioSpec",
-    "SensingMatrix",
-    "SparseCoefficients",
-    "SparseRecoveryError",
-    "SweepConfig",
-    "SweepResult",
-    "TailCheckResult",
-    "TheoremConstants",
-    "ThresholdBackend",
-    "TrialResult",
-    "basis_pursuit_denoise",
-    "build_overcomplete_dft",
-    "build_projector",
-    "build_rescaled_identity",
-    "corollary1_envelope",
-    "cosamp_baseline",
-    "draw_gaussian_sensing",
-    "draw_sparse_coefficients",
-    "drip_estimate",
-    "drip_exact",
-    "evaluate_projection_quality",
-    "l1_baseline",
-    "make_backend",
-    "measure",
-    "mismatch",
-    "omp_baseline",
-    "operator_norm",
-    "optimal_projection",
-    "project_support",
-    "run_projection_study",
-    "run_sweep",
-    "snr_db",
-    "sscosamp",
-    "synthesize",
-    "theorem1_constants",
-    "tikhonov_lsq",
-    "trace_to_csv",
-    "upper_rip_tail_check",
-    "write_aggregate_csv",
-    "write_quality_csv",
-    "write_sweep_csv",
-]
+__all__ = [name for module in (analysis, bench, errors, linalg, model, projections, recovery)
+           for name in module.__all__]

@@ -51,7 +51,8 @@ ENVELOPE_TOL = 1e-9
 def snr_db(x_true, x_est):
     """Signal-to-noise ratio 20*log10(||x|| / ||x - x_hat||) in dB.
 
-    Returns ``math.inf`` when the error norm is below 1e-300.
+    Returns ``math.inf`` when the error norm is below 1e-300, and
+    ``-math.inf`` when it overflows.
     """
     x_true = np.asarray(x_true, dtype=np.complex128)
     x_est = np.asarray(x_est, dtype=np.complex128)
@@ -63,6 +64,8 @@ def snr_db(x_true, x_est):
     err = float(np.linalg.norm(x_true - x_est))
     if err < SNR_ERROR_FLOOR:
         return math.inf
+    if err == math.inf:
+        return -math.inf
     return 20.0 * math.log10(signal / err)
 
 
@@ -93,7 +96,7 @@ def theorem1_constants(delta4k, eps1, eps2):
     """
     if not 0.0 <= delta4k < 1.0:
         raise InvalidInputError("delta4k must lie in [0, 1)")
-    if eps1 < 0 or eps2 < 0:
+    if not (eps1 >= 0 and eps2 >= 0):
         raise InvalidInputError("eps1 and eps2 must be >= 0")
     ratio = math.sqrt((1.0 + delta4k) / (1.0 - delta4k))
     c1 = ((2.0 + eps1) * delta4k + eps1) * (2.0 + eps2) * ratio
@@ -282,7 +285,7 @@ def upper_rip_tail_check(A, k, z, delta_k_est):
         raise InvalidInputError(f"z must be a length-{A.n} vector")
     if k < 1:
         raise InvalidInputError("k must be >= 1")
-    if delta_k_est < 0:
+    if not delta_k_est >= 0:
         raise InvalidInputError("delta_k_est must be >= 0")
     bound = math.sqrt(1.0 + delta_k_est) * (
         float(np.linalg.norm(z)) + float(np.linalg.norm(z, 1)) / math.sqrt(k)

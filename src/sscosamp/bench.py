@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,9 +57,6 @@ __all__ = [
     "write_quality_csv",
     "format_snr",
 ]
-
-SWEEP_COLUMNS = ["scenario", "algorithm", "m", "trial", "seed", "snr_db",
-                 "success", "iterations", "wall_ms", "stop_reason"]
 
 # Mean SNR aggregates treat perfect (infinite-SNR) recoveries as this value
 # so averages stay finite and comparable.
@@ -167,6 +164,8 @@ class SweepConfig:
                 )
         if not 0 <= self.noise_norm < math.inf:
             raise InvalidInputError(f"noise_norm must be finite and >= 0, got {self.noise_norm}")
+        if self.master_seed < 0:
+            raise InvalidInputError(f"master_seed must be >= 0, got {self.master_seed}")
         if math.isnan(self.snr_threshold_db):
             raise InvalidInputError("snr_threshold_db must not be NaN")
         if not self.tikhonov_bound_factor > 0:
@@ -189,6 +188,9 @@ class TrialResult:
     iterations: int
     wall_ms: float
     stop_reason: str
+
+
+SWEEP_COLUMNS = [f.name for f in fields(TrialResult)]
 
 
 @dataclass(frozen=True)
@@ -361,8 +363,7 @@ def write_aggregate_csv(result, path, include_timing=False):
     """Write per-(algorithm, m) summaries."""
     with open_output(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scenario", "algorithm", "m", "trials", "success_rate",
-                         "mean_snr_db", "mean_iterations", "mean_wall_ms"])
+        writer.writerow([f.name for f in fields(AggregateRow)])
         for agg in result.aggregate():
             writer.writerow([
                 agg.scenario,
@@ -420,6 +421,15 @@ def run_projection_study(dictionary, k, patterns, backends, trials, seed,
     A ``NumericalFailureError`` (a backend's, or the support sampler's) ends
     the study; it carries the rows scored before it as ``rows``.
     """
+    if k < 1:
+        raise InvalidInputError("k must be >= 1")
+    if trials < 0:
+        raise InvalidInputError("trials must be >= 0")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if not 0 <= perturbation_rel < math.inf:
+        raise InvalidInputError(
+            f"perturbation_rel must be finite and >= 0, got {perturbation_rel}")
     rows = []
     try:
         for p_idx, pattern in enumerate(patterns):
@@ -451,7 +461,7 @@ def write_quality_csv(rows, path):
 
     with open_output(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["backend", "pattern", "trial", "eps1", "eps2", "opt_residual"])
+        writer.writerow([f.name for f in fields(ProjectionStudyRow)])
         for row in rows:
             writer.writerow([row.backend, row.pattern, row.trial,
                              fmt(row.eps1), fmt(row.eps2), fmt(row.opt_residual)])

@@ -16,6 +16,7 @@ numerical failure ``project-eval`` still writes the rows scored before it.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -112,14 +113,8 @@ def _cmd_sweep(args):
     result = run_sweep(cfg)
     if args.format == "json":
         payload = [
-            {
-                "scenario": r.scenario, "algorithm": r.algorithm, "m": r.m,
-                "trial": r.trial, "seed": r.seed,
-                "snr_db": format_snr(r.snr_db),
-                "success": int(r.success), "iterations": r.iterations,
-                "wall_ms": round(r.wall_ms, 3) if args.timing else 0.0,
-                "stop_reason": r.stop_reason,
-            }
+            {**asdict(r), "snr_db": format_snr(r.snr_db), "success": int(r.success),
+             "wall_ms": round(r.wall_ms, 3) if args.timing else 0.0}
             for r in result.rows
         ]
         _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -160,6 +155,8 @@ def _cmd_project_eval(args):
 
 
 def _cmd_drip(args):
+    if args.seed is not None and args.seed < 0:
+        raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
     root = np.random.SeedSequence(args.seed if args.seed is not None else 0)
     seed_a, seed_trials = root.spawn(2)
     dictionary = build_dictionary(args.dict, args.n, args.redundancy, args.scale)

@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SparseRecoveryError",
+    "InvalidInputError",
+    "NumericalFailureError",
+    "InstanceTooLargeError",
+]
+
 
 class SparseRecoveryError(Exception):
     """Base class for all errors raised by this package."""

@@ -213,8 +213,8 @@ class Measurements:
         y = np.asarray(self.y, dtype=np.complex128)
         if y.ndim != 1:
             raise InvalidInputError("y must be a vector")
-        if y.size and not np.isfinite(y).all():
-            raise InvalidInputError("y contains non-finite entries")
+        if not math.isfinite(np.linalg.norm(y)):
+            raise InvalidInputError("y contains non-finite entries or its norm overflows")
         object.__setattr__(self, "y", y)
 
     @property
@@ -309,8 +309,15 @@ def _separated_support(rng, d, k, min_gap, cyclic):
     Linear spacings come from the standard bijection (choose k positions out
     of d - (k-1)*min_gap, then re-inflate the gaps).  With ``cyclic`` the
     wraparound gap from the last index back to the first must also clear
-    min_gap, enforced by rejection.
+    min_gap, enforced by rejection.  The hybrid pattern's separated half
+    comes from here too, so both patterns share the feasibility check.
     """
+    if min_gap < 0:
+        raise InvalidInputError("min_gap must be >= 0")
+    if k * (min_gap + 1) > d:
+        raise InvalidInputError(
+            f"separated indices infeasible: {k}*(min_gap+1) = {k * (min_gap + 1)} > d = {d}"
+        )
     reduced = d - (k - 1) * min_gap
     for _ in range(10_000):
         base = np.sort(rng.choice(reduced, size=k, replace=False))
@@ -381,12 +388,6 @@ def draw_sparse_coefficients(d, k, pattern, seed, min_gap=8, cyclic=False, compl
     elif pattern == "uniform":
         support = np.sort(rng.choice(d, size=k, replace=False))
     elif pattern == "separated":
-        if min_gap < 0:
-            raise InvalidInputError("min_gap must be >= 0")
-        if k * (min_gap + 1) > d:
-            raise InvalidInputError(
-                f"separated pattern infeasible: k*(min_gap+1) = {k * (min_gap + 1)} > d = {d}"
-            )
         support = _separated_support(rng, d, k, min_gap, cyclic)
     elif pattern == "clustered":
         start = int(rng.integers(0, d - k + 1))

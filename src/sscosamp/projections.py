@@ -476,7 +476,7 @@ def basis_pursuit_denoise(M, z, sigma):
     z = np.asarray(z, dtype=np.complex128)
     if M.ndim != 2 or z.ndim != 1 or z.shape[0] != M.shape[0]:
         raise InvalidInputError("basis_pursuit_denoise: shape mismatch")
-    if sigma < 0:
+    if not sigma >= 0:
         raise InvalidInputError("sigma must be >= 0")
     scale = float(np.linalg.norm(z))
     if scale == 0.0:

@@ -85,6 +85,11 @@ def test_snr_validation():
         snr_db(np.ones(4), np.ones(5))
 
 
+def test_snr_of_an_overflowing_error_is_minus_infinity():
+    # log10(||x|| / inf) used to raise "math domain error"
+    assert snr_db(np.ones(4), np.full(4, 1e300)) == -math.inf
+
+
 # ---------------------------------------------------------------------------
 # convergence constants
 
@@ -137,7 +142,8 @@ def test_constants_monotone_in_each_argument():
 
 
 def test_constants_validation():
-    for bad in [(-0.1, 0, 0), (1.0, 0, 0), (0.5, -1, 0), (0.5, 0, -1)]:
+    for bad in [(-0.1, 0, 0), (1.0, 0, 0), (0.5, -1, 0), (0.5, 0, -1),
+                (math.nan, 0, 0), (0.5, math.nan, 0), (0.5, 0, math.nan)]:
         with pytest.raises(InvalidInputError):
             theorem1_constants(*bad)
 
@@ -383,8 +389,9 @@ def test_tail_check_validation():
         upper_rip_tail_check(A, 0, np.ones(4), 0.1)
     with pytest.raises(InvalidInputError):
         upper_rip_tail_check(A, 2, np.ones(5), 0.1)
-    with pytest.raises(InvalidInputError):
-        upper_rip_tail_check(A, 2, np.ones(4), -0.1)
+    for bad_delta in (-0.1, math.nan):
+        with pytest.raises(InvalidInputError):
+            upper_rip_tail_check(A, 2, np.ones(4), bad_delta)
 
 
 # ---------------------------------------------------------------------------

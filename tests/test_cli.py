@@ -349,6 +349,83 @@ def test_sweep_nan_noise_norm_exits_2(tmp_path, capsys):
     assert "noise_norm must be finite" in capsys.readouterr().err
 
 
+def _error_line_of_exit_2(argv, capsys):
+    """Run ``argv``; check exit 2, an empty stdout and one stderr line; return it."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["drip", "--m", "8", "--k", "2", "--trials", "5", "--seed", "-1"],
+    ["recover", "--m", "24", "--n", "32", "--k", "2", "--seed", "-1"],
+    ["project-eval", "--n", "8", "--k", "2", "--trials", "1", "--backends", "threshold",
+     "--seed", "-1"],
+], ids=["drip", "recover", "project-eval"])
+def test_negative_seed_exits_2(argv, capsys):
+    # np.random.SeedSequence used to raise "expected non-negative integer": exit 1
+    assert "seed must be >= 0, got -1" in _error_line_of_exit_2(argv, capsys)
+
+
+def test_sweep_negative_seed_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    argv = ["sweep", "--config", path, "--seed", "-2"]
+    assert "master_seed must be >= 0, got -2" in _error_line_of_exit_2(argv, capsys)
+    path = _write_config(tmp_path, text=SWEEP_CONFIG.replace("master_seed = 7", "master_seed = -1"))
+    argv = ["sweep", "--config", path]
+    assert "master_seed must be >= 0, got -1" in _error_line_of_exit_2(argv, capsys)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dict", "dft", "--n", "4", "--redundancy", "2", "--k", "0", "--patterns", "uniform",
+      "--trials", "1"], "k must be >= 1"),
+    (["--n", "8", "--k", "2", "--trials", "-3"], "trials must be >= 0"),
+    (["--n", "8", "--k", "2", "--trials", "1", "--perturbation", "-1"], "perturbation_rel"),
+    (["--n", "8", "--k", "2", "--trials", "1", "--perturbation", "nan"], "perturbation_rel"),
+    (["--n", "8", "--k", "2", "--trials", "1", "--perturbation", "inf"], "perturbation_rel"),
+], ids=["k-0", "negative-trials", "negative-perturbation", "nan-perturbation",
+        "inf-perturbation"])
+def test_project_eval_bad_sizes_exit_2(flags, message, capsys):
+    # k = 0 used to exit 1 (ZeroDivisionError), trials = -3 to print a bare
+    # header and a negative perturbation to flip its sign, all with exit 0
+    argv = ["project-eval", "--backends", "threshold", *flags]
+    assert message in _error_line_of_exit_2(argv, capsys)
+
+
+def test_constants_nan_exits_2(capsys):
+    # it used to print C1 = nan and exit 0
+    argv = ["constants", "--delta", "0.1", "--eps1", "nan"]
+    assert "eps1 and eps2 must be >= 0" in _error_line_of_exit_2(argv, capsys)
+
+
+@pytest.mark.parametrize("algorithm", ["omp", "l1"])
+def test_noise_that_overflows_the_norm_of_y_exits_2(tmp_path, capsys, algorithm):
+    # snr_db's log10(signal / inf) and ADMM's NaN ball radius used to exit 1
+    text = (SWEEP_CONFIG.replace("n = 32", "n = 16").replace("m_grid = 16", "m_grid = 8")
+            .replace("sscosamp-threshold", algorithm) + "noise_norm = 2e154\n")
+    path = _write_config(tmp_path, text=text)
+    assert "norm overflows" in _error_line_of_exit_2(["sweep", "--config", path], capsys)
+    argv = ["recover", "--algorithm", algorithm, "--noise-norm", "1e300", "--m", "24",
+            "--n", "32", "--k", "2"]
+    assert "norm overflows" in _error_line_of_exit_2(argv, capsys)
+
+
+def test_sweep_with_an_unreachable_norm_bound_fails_every_row(tmp_path, capsys):
+    # tikhonov_lsq cannot bracket a ridge parameter for a 1e-300 ball
+    text = (SWEEP_CONFIG.replace("sscosamp-threshold", "sscosamp-threshold, cosamp")
+            + "tikhonov_bound_factor = 1e-300\n")
+    path = _write_config(tmp_path, text=text)
+    assert main(["sweep", "--config", path]) == 3
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.endswith(",nan,0,0,0.000,numerical_failure") for row in rows)
+    assert captured.err == "numerical failure: 4 of 4 runs\n"
+
+
 def test_sweep_k_0_exits_2_naming_the_key(tmp_path, capsys, monkeypatch):
     # it used to draw its instances and then fail with "snr_db undefined for
     # zero reference signal"

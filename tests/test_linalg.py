@@ -7,6 +7,7 @@ import scipy.linalg.lapack
 
 from sscosamp import (
     InvalidInputError,
+    NumericalFailureError,
     build_overcomplete_dft,
     build_projector,
     operator_norm,
@@ -216,6 +217,16 @@ def test_tikhonov_lapack_qr_failure_falls_back_to_svd(monkeypatch):
     assert calls == [(64, 24)]
     assert live == 24
     assert np.array_equal(beta, oracle)
+
+
+def test_tikhonov_ridge_bracket_failure_raises():
+    # 200 doublings of the ridge parameter cannot shrink beta to a 1e-300 ball
+    A, cols, y = _tall_well_conditioned(16)
+    with pytest.raises(NumericalFailureError,
+                       match="^tikhonov_lsq: failed to bracket the ridge parameter$") as info:
+        tikhonov_lsq(A @ cols, y, norm_bound=1e-300)
+    assert info.value.diagnostics["norm_bound"] == 1e-300
+    assert info.value.diagnostics["hi"] > 1e60
 
 
 def test_tikhonov_input_validation():

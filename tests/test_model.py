@@ -8,6 +8,7 @@ import pytest
 from sscosamp import (
     Dictionary,
     InvalidInputError,
+    Measurements,
     SensingMatrix,
     SparseCoefficients,
     build_overcomplete_dft,
@@ -119,6 +120,9 @@ def test_draw_coefficients_validation():
         draw_sparse_coefficients(10, 11, "uniform", 0)
     with pytest.raises(InvalidInputError):
         draw_sparse_coefficients(16, 4, "separated", 0, min_gap=8)  # 4*9 > 16
+    with pytest.raises(InvalidInputError, match="separated indices infeasible"):
+        # the separated half, 4*9 > 16; it used to raise numpy's ValueError
+        draw_sparse_coefficients(16, 8, "hybrid", 0, min_gap=8)
     with pytest.raises(InvalidInputError):
         draw_sparse_coefficients(10, 2, "zigzag", 0)
 
@@ -182,6 +186,21 @@ def test_measure_rejects_a_negative_or_non_finite_noise_norm(noise_norm):
     A = SensingMatrix(np.eye(4))
     with pytest.raises(InvalidInputError, match="noise_norm"):
         measure(A, np.ones(4), noise_norm, seed=0)
+
+
+@pytest.mark.parametrize("y", [[1e200, 1e200], [math.nan, 0.0], [0.0, math.inf]],
+                         ids=["norm-overflows", "nan", "inf"])
+def test_measurements_reject_a_y_whose_norm_is_not_finite(y):
+    # an overflowing ||y|| used to reach snr_db or ADMM and abort a sweep
+    with pytest.raises(InvalidInputError, match="non-finite entries or its norm overflows"):
+        Measurements(np.array(y))
+
+
+def test_measure_rejects_noise_that_overflows_the_norm_of_y():
+    A = SensingMatrix(np.eye(4))
+    assert np.isfinite(np.linalg.norm(measure(A, np.ones(4), 1e154, seed=0).y))
+    with pytest.raises(InvalidInputError, match="norm overflows"):
+        measure(A, np.ones(4), 2e154, seed=0)
 
 
 def test_gaussian_sensing_deterministic_and_scaled():

@@ -437,8 +437,10 @@ def test_basis_pursuit_edge_cases():
     assert np.allclose(basis_pursuit_denoise(np.eye(3), np.zeros(3), 0.1), 0.0)
     with pytest.raises(InvalidInputError):
         basis_pursuit_denoise(np.eye(3), np.zeros(4), 0.1)
-    with pytest.raises(InvalidInputError):
-        basis_pursuit_denoise(np.eye(3), np.zeros(3), -1.0)
+    # a NaN radius used to run all ADMM_MAX_ITERS iterations and fail numerically
+    for bad_sigma in (-1.0, math.nan):
+        with pytest.raises(InvalidInputError):
+            basis_pursuit_denoise(np.eye(3), np.ones(3), bad_sigma)
 
 
 def test_make_backend_known_names():

@@ -30,7 +30,7 @@ from sscosamp import (
     tikhonov_lsq,
     trace_to_csv,
 )
-from sscosamp import projections
+from sscosamp import projections, recovery
 from sscosamp.bench import KNOWN_ALGORITHMS, SCENARIOS, run_algorithm
 from sscosamp.linalg import lstsq
 
@@ -355,6 +355,21 @@ def test_backend_failure_carries_iteration_index(monkeypatch):
     cfg = SSCoSaMPConfig(k=2, identify_backend=L1Backend())
     with pytest.raises(NumericalFailureError) as info:
         sscosamp(A, D, meas, cfg)
+    assert info.value.iteration == 0
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda A, D, meas: sscosamp(A, D, meas, SSCoSaMPConfig(k=3)), "update estimate"),
+    (lambda A, D, meas: cosamp_baseline(A, D, meas, 3), "coefficient iterate"),
+], ids=["sscosamp", "cosamp_baseline"])
+def test_non_finite_update_fit_raises_at_iteration_0(monkeypatch, run, message):
+    def nan_fit(cols, y, norm_bound):
+        return np.full(cols.shape[1], np.nan, dtype=np.complex128)
+
+    monkeypatch.setattr(recovery, "tikhonov_lsq", nan_fit)
+    A, D, _, meas = _identity_instance()
+    with pytest.raises(NumericalFailureError, match=f"^{message} became non-finite$") as info:
+        run(A, D, meas)
     assert info.value.iteration == 0
 
 

@@ -40,10 +40,15 @@ Sections:
   that compares those memo hits across trees (``tests/test_projections.py``
   compares them with cold scans within one tree);
 * ``drip_exact``: exhaustive isometry constants;
-* ``build_projector``: projector bases, rank-deficient ones included.
+* ``build_projector``: projector bases, rank-deficient ones included;
+* ``cli_outputs``: exit code, stdout, stderr and written files of every
+  subcommand called through ``cli.main`` at small sizes with valid inputs:
+  sweep CSV and JSON with aggregates, ``project-eval``'s quality CSV,
+  ``drip`` CSV and JSON, ``recover`` with its trace CSV, ``constants`` text
+  and JSON.
 
 BLAS is pinned to one thread before numpy loads, so threaded reductions do
-not change the last bits.  It takes about 25 s on a 2-core Xeon VM.
+not change the last bits.  It takes about 30 s on a 2-core Xeon VM.
 """
 
 import argparse
@@ -52,6 +57,7 @@ import hashlib
 import io
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 from unittest import mock
@@ -325,8 +331,64 @@ def build_projector(ss):
     return digest
 
 
+# (file name, text) of the sweep configs cli_outputs runs
+CLI_CONFIGS = (
+    ("clustered.cfg", "scenario = dft-clustered\nn = 16\nk = 2\nm_grid = 8, 12\ntrials = 2\n"
+                      "algorithms = sscosamp-omp, sscosamp-cosamp, cosamp, omp, l1\n"
+                      f"noise_norm = 0.01\nmaster_seed = {SEED}\n"),
+    ("identity.cfg", "scenario = rescaled-identity\nn = 16\nk = 2\nm_grid = 8, 12\n"
+                     "trials = 2\nalgorithms = sscosamp-threshold, sscosamp-l1, cosamp\n"
+                     f"master_seed = {SEED}\n"),
+)
+CLI_CALLS = [
+    *(["sweep", "--config", name, *flags, "--aggregate-out", "aggregate.csv"]
+      for name, _ in CLI_CONFIGS
+      for flags in (["--out", "sweep.csv"], ["--format", "json"], ["--seed", "101"])),
+    ["project-eval", "--n", "16", "--k", "2", "--trials", "3", "--seed", str(SEED),
+     "--out", "quality.csv"],
+    ["project-eval", "--dict", "rescaled-identity", "--n", "8", "--k", "2", "--patterns",
+     "uniform,hybrid", "--backends", "threshold,omp,exhaustive", "--trials", "2"],
+    ["drip", "--n", "16", "--m", "8", "--k", "2", "--trials", "50", "--seed", "3"],
+    ["drip", "--dict", "rescaled-identity", "--n", "8", "--m", "6", "--k", "2", "--trials", "25",
+     "--format", "json", "--out", "drip.json"],
+    ["recover", "--scenario", "dft-separated", "--algorithm", "sscosamp-omp", "--n", "32",
+     "--k", "2", "--m", "16", "--seed", "5", "--out", "trace.csv"],
+    ["recover", "--scenario", "rescaled-identity", "--algorithm", "cosamp", "--n", "16", "--k",
+     "2", "--m", "8", "--noise-norm", "0.01", "--out", "-"],
+    ["recover", "--scenario", "dft-hybrid", "--algorithm", "l1", "--n", "16", "--k", "2",
+     "--m", "12", "--seed", "9"],
+    ["constants", "--delta", "0.029", "--eps1", "0.1", "--eps2", "1.0"],
+    ["constants", "--delta", "0.2", "--eps2", "3", "--format", "json", "--out", "c.json"],
+]
+
+
+def cli_outputs(ss):
+    import sscosamp.cli  # noqa: F401  loads ss.cli from the same tree as ss
+
+    digest = Digest()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in CLI_CONFIGS:
+                Path(name).write_text(text, encoding="ascii")
+            for argv in CLI_CALLS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = ss.cli.main(argv)
+                written = sorted(p for p in Path(".").iterdir() if not p.name.endswith(".cfg"))
+                digest.add(argv, rc, out.getvalue(), err.getvalue(),
+                           [(p.name, p.read_bytes()) for p in written])
+                for path in written:
+                    path.unlink()
+        finally:
+            os.chdir(cwd)
+    return digest
+
+
 SECTIONS = (sweep_csv, run_algorithm, identity_gate, projection_study, projection_study_all,
-            backend_supports, admm, mismatch, mismatch_kept, drip_exact, build_projector)
+            backend_supports, admm, mismatch, mismatch_kept, drip_exact, build_projector,
+            cli_outputs)
 
 
 def main(argv=None):
