@@ -110,17 +110,16 @@ class EnvelopeReport:
     """Per-iteration check of error <= 2^-l * ||x|| + 25.4 * ||e||.
 
     ``slacks[i]`` is envelope minus error after iteration i+1 (negative
-    means violated).  ``binding`` echoes whether the caller certified the
-    preconditions (isometry constant <= 0.029 and exhaustive projections);
-    otherwise the result is advisory.
+    means violated).  The envelope binds only when its preconditions hold
+    (isometry constant <= 0.029 and exhaustive projections); otherwise the
+    result is advisory.
     """
 
     passed: bool
     slacks: tuple
-    binding: bool
 
 
-def corollary1_envelope(trace, x_true, noise_norm, binding=False):
+def corollary1_envelope(trace, x_true, noise_norm):
     """Compare a trace's per-iteration errors against the decay envelope."""
     x_true = np.asarray(x_true, dtype=np.complex128)
     x_norm = float(np.linalg.norm(x_true))
@@ -130,7 +129,7 @@ def corollary1_envelope(trace, x_true, noise_norm, binding=False):
         envelope = (0.5 ** (i + 1)) * x_norm + 25.4 * noise_norm
         slacks.append(envelope - err)
     passed = all(s >= -ENVELOPE_TOL * max(x_norm, 1.0) for s in slacks)
-    return EnvelopeReport(passed=passed, slacks=tuple(slacks), binding=binding)
+    return EnvelopeReport(passed=passed, slacks=tuple(slacks))
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ class SweepConfig:
     master_seed: int = 0
     snr_threshold_db: float = 100.0
     tikhonov_bound_factor: float = 10.0
-    max_iters: int = 0  # 0 means use the scenario default
+    max_iters: int = 0  # 0 becomes the scenario default
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -172,6 +172,8 @@ class SweepConfig:
             raise InvalidInputError("tikhonov_bound_factor must be positive")
         object.__setattr__(self, "m_grid", grid)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        if self.max_iters == 0:
+            object.__setattr__(self, "max_iters", SCENARIOS[self.scenario].default_max_iters)
 
 
 @dataclass(frozen=True)
@@ -270,8 +272,7 @@ def draw_instance(cfg, dictionary, m, trial):
     ``SeedSequence((master_seed, scenario_id, m, trial))``.
     """
     scenario = SCENARIOS[cfg.scenario]
-    root = np.random.SeedSequence((cfg.master_seed, scenario.scenario_id, m, trial))
-    seed_u64 = int(root.generate_state(1, np.uint64)[0])
+    root, seed_u64 = _trial_seeds(cfg, m, trial)
     seed_sensing, seed_coeffs, seed_noise = root.spawn(3)
     A = draw_gaussian_sensing(m, cfg.n, seed_sensing)
     coeffs = scenario.draw_coefficients(dictionary.d, cfg.k, seed_coeffs)
@@ -281,24 +282,34 @@ def draw_instance(cfg, dictionary, m, trial):
     return A, x, meas, norm_bound, seed_u64
 
 
+def _trial_seeds(cfg, m, trial):
+    """The trial's root ``SeedSequence`` and its first uint64, the seed column."""
+    scenario_id = SCENARIOS[cfg.scenario].scenario_id
+    root = np.random.SeedSequence((cfg.master_seed, scenario_id, m, trial))
+    return root, int(root.generate_state(1, np.uint64)[0])
+
+
 def run_sweep(cfg):
     """Execute a sweep and return per-trial rows plus the config.
 
     A numerical failure inside one algorithm run is recorded as an
     unsuccessful row with stop_reason "numerical_failure" rather than
-    aborting the sweep.
+    aborting the sweep; a trial whose instance draw fails that way gets
+    such a row for every algorithm.
     """
-    scenario = SCENARIOS[cfg.scenario]
-    dictionary = scenario.build_dictionary(cfg.n)
-    max_iters = cfg.max_iters if cfg.max_iters > 0 else scenario.default_max_iters
+    dictionary = SCENARIOS[cfg.scenario].build_dictionary(cfg.n)
     rows = []
     for m in cfg.m_grid:
         for trial in range(cfg.trials):
-            A, x, meas, norm_bound, seed_u64 = draw_instance(cfg, dictionary, m, trial)
+            try:
+                A, x, meas, norm_bound, seed_u64 = draw_instance(cfg, dictionary, m, trial)
+            except NumericalFailureError:  # no instance: every run of this trial fails
+                A, seed_u64 = None, _trial_seeds(cfg, m, trial)[1]
             for alg in cfg.algorithms:
                 start = time.perf_counter()
                 try:
-                    trace = run_algorithm(alg, A, dictionary, meas, cfg.k, norm_bound, max_iters)
+                    trace = None if A is None else run_algorithm(
+                        alg, A, dictionary, meas, cfg.k, norm_bound, cfg.max_iters)
                 except NumericalFailureError:
                     trace = None
                 wall_ms = (time.perf_counter() - start) * 1e3
@@ -377,13 +388,13 @@ def write_aggregate_csv(result, path, include_timing=False):
             ])
 
 
-def trace_to_csv(trace, path, x_true=None):
+def trace_to_csv(trace, path, x_true):
     """Write one CSV row per iteration (supports semicolon-joined).
 
-    Columns: iter, residual_norm, error_to_truth (blank without truth),
-    pruned_support.  A ``path`` of "-" writes standard output.
+    Columns: iter, residual_norm, error_to_truth, pruned_support.  A
+    ``path`` of "-" writes standard output.
     """
-    errors = trace.errors_to(x_true) if x_true is not None else None
+    errors = trace.errors_to(x_true)
     with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "residual_norm", "error_to_truth", "pruned_support"])
@@ -392,7 +403,7 @@ def trace_to_csv(trace, path, x_true=None):
                 [
                     rec.iteration,
                     f"{rec.residual_norm:.17g}",
-                    "" if errors is None else f"{errors[idx]:.17g}",
+                    f"{errors[idx]:.17g}",
                     ";".join(str(i) for i in rec.pruned_support),
                 ]
             )

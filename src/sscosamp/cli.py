@@ -143,7 +143,7 @@ def _cmd_project_eval(args):
             patterns=_csv_list(args.patterns),
             backends=_csv_list(args.backends),
             trials=args.trials,
-            seed=args.seed if args.seed is not None else 0,
+            seed=args.seed,
             perturbation_rel=args.perturbation,
         )
     except NumericalFailureError as exc:
@@ -155,9 +155,9 @@ def _cmd_project_eval(args):
 
 
 def _cmd_drip(args):
-    if args.seed is not None and args.seed < 0:
+    if args.seed < 0:
         raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
-    root = np.random.SeedSequence(args.seed if args.seed is not None else 0)
+    root = np.random.SeedSequence(args.seed)
     seed_a, seed_trials = root.spawn(2)
     dictionary = build_dictionary(args.dict, args.n, args.redundancy, args.scale)
     A = draw_gaussian_sensing(args.m, args.n, seed_a)
@@ -183,13 +183,11 @@ def _cmd_recover(args):
     cfg = SweepConfig(
         scenario=args.scenario, n=args.n, k=args.k, m_grid=(args.m,), trials=1,
         algorithms=(args.algorithm,), noise_norm=args.noise_norm,
-        master_seed=args.seed if args.seed is not None else 0, max_iters=args.max_iters,
+        master_seed=args.seed, max_iters=args.max_iters,
     )
-    scenario = SCENARIOS[cfg.scenario]
-    dictionary = scenario.build_dictionary(cfg.n)
+    dictionary = SCENARIOS[cfg.scenario].build_dictionary(cfg.n)
     A, x, meas, norm_bound, _ = draw_instance(cfg, dictionary, args.m, 0)
-    max_iters = cfg.max_iters if cfg.max_iters > 0 else scenario.default_max_iters
-    trace = run_algorithm(args.algorithm, A, dictionary, meas, args.k, norm_bound, max_iters)
+    trace = run_algorithm(args.algorithm, A, dictionary, meas, cfg.k, norm_bound, cfg.max_iters)
     out = [f"algorithm={trace.algorithm} m={args.m} n={args.n} k={args.k}"]
     out.append("iter,residual_norm,support")
     for rec in trace.records:
@@ -261,7 +259,7 @@ def build_parser():
     p_proj.add_argument("--backends", default="threshold,omp,cosamp,l1",
                         help="comma-separated backend names")
     p_proj.add_argument("--trials", type=int, default=20)
-    p_proj.add_argument("--seed", type=int, default=None)
+    p_proj.add_argument("--seed", type=int, default=0)
     p_proj.add_argument("--perturbation", type=float, default=0.1,
                         help="relative off-model perturbation of test vectors")
     p_proj.add_argument("--out", default="-")
@@ -272,7 +270,7 @@ def build_parser():
     p_drip.add_argument("--m", type=int, required=True, help="number of measurements")
     p_drip.add_argument("--k", type=int, default=8, help="isometry order")
     p_drip.add_argument("--trials", type=int, default=1000)
-    p_drip.add_argument("--seed", type=int, default=None)
+    p_drip.add_argument("--seed", type=int, default=0)
     p_drip.add_argument("--out", default="-")
     p_drip.add_argument("--format", choices=["csv", "json"], default="csv")
     p_drip.set_defaults(func=_cmd_drip)
@@ -287,7 +285,7 @@ def build_parser():
     p_rec.add_argument("--noise-norm", type=float, default=0.0, dest="noise_norm")
     p_rec.add_argument("--max-iters", type=int, default=0, dest="max_iters",
                        help="0 uses the scenario default")
-    p_rec.add_argument("--seed", type=int, default=None)
+    p_rec.add_argument("--seed", type=int, default=0)
     p_rec.add_argument("--out", default=None, help="also write the trace CSV here")
     p_rec.set_defaults(func=_cmd_recover)
 

@@ -1,7 +1,7 @@
 """Dense complex linear algebra primitives.
 
-Orthogonal projectors onto column spans, plain and norm-constrained (ridge)
-least squares, and power-iteration operator norms.  Everything here is a
+Orthogonal projectors onto column spans and plain and norm-constrained
+(ridge) least squares.  Everything here is a
 pure function of its inputs: no global state, deterministic results,
 complex128 arithmetic throughout (real inputs are embedded with zero
 imaginary part).  A LAPACK failure (``LinAlgError``) surfaces as
@@ -21,7 +21,6 @@ __all__ = [
     "build_projector",
     "lstsq",
     "tikhonov_lsq",
-    "operator_norm",
 ]
 
 # Pivot magnitudes below this fraction of the largest pivot are treated as
@@ -72,40 +71,21 @@ class OrthoProjector:
     """Orthogonal projector onto the span of a set of dictionary columns.
 
     ``basis`` has orthonormal columns spanning the range; applying the
-    projector is ``basis @ (basis^H z)``.
+    projector is ``basis @ (basis^H z)``, the zero vector when ``basis`` has
+    no columns.
     """
 
     basis: np.ndarray
 
-    @property
-    def rank(self):
-        return self.basis.shape[1]
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
     def apply(self, z):
         """Return P z, the orthogonal projection of ``z`` onto the span."""
         z = _as_vector(z)
-        if z.shape[0] != self.dim:
+        n = self.basis.shape[0]
+        if z.shape[0] != n:
             raise InvalidInputError(
-                f"vector length {z.shape[0]} does not match projector dimension {self.dim}"
+                f"vector length {z.shape[0]} does not match projector dimension {n}"
             )
-        if self.rank == 0:
-            return np.zeros_like(z)
         return self.basis @ (self.basis.conj().T @ z)
-
-    def complement(self, z):
-        """Return z - P z, the projection onto the orthogonal complement."""
-        z = _as_vector(z)
-        return z - self.apply(z)
-
-    def dense(self):
-        """Materialize the n-by-n projector matrix (for diagnostics/tests)."""
-        if self.rank == 0:
-            return np.zeros((self.dim, self.dim), dtype=np.complex128)
-        return self.basis @ self.basis.conj().T
 
 
 def build_projector(cols):
@@ -257,52 +237,3 @@ def tikhonov_lsq(cols, y, norm_bound):
     if beta is not None and np.linalg.norm(beta) <= norm_bound * (1.0 + TIKHONOV_TOL):
         return beta
     return _ridge_constrained(cols, y, norm_bound)
-
-
-def operator_norm(M, iters=200):
-    """Largest singular value of ``M`` by power iteration on M^H M.
-
-    The Rayleigh-quotient estimates are non-decreasing over iterations, so
-    the result is a lower bound that tightens with ``iters``.  Deterministic:
-    the starting vector comes from a fixed internal seed.
-
-    Parameters
-    ----------
-    M : ndarray (m, n)
-    iters : int
-        Number of power iterations (>= 10).
-
-    Returns
-    -------
-    float : estimated spectral norm.
-    """
-    M = _as_matrix(M, "M")
-    if M.shape[0] == 0 or M.shape[1] == 0:
-        raise InvalidInputError("operator_norm requires a non-empty matrix")
-    if iters < 10:
-        raise InvalidInputError("operator_norm requires iters >= 10")
-    if not np.any(M):
-        return 0.0
-    rng = np.random.default_rng(0x5CC05A3F)
-    n = M.shape[1]
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    # A fixed start could land in the null space; retry from the same stream.
-    for _ in range(8):
-        nv = np.linalg.norm(v)
-        if nv > 0 and np.linalg.norm(M @ (v / nv)) > 0:
-            break
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    else:
-        return 0.0
-    v /= np.linalg.norm(v)
-    MH = M.conj().T
-    est = 0.0
-    for _ in range(iters):
-        w = M @ v
-        est = max(est, float(np.linalg.norm(w)))
-        u = MH @ w
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            break
-        v = u / nu
-    return est

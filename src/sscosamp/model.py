@@ -62,10 +62,6 @@ class Dictionary:
     def d(self):
         return self.matrix.shape[1]
 
-    @property
-    def redundancy(self):
-        return self.d / self.n
-
     @cached_property
     def _conj(self):
         return self.matrix.conj()
@@ -140,12 +136,6 @@ class SparseCoefficients:
     def sparsity(self):
         return len(self.support)
 
-    def dense(self):
-        """Embed into a full length-d vector."""
-        alpha = np.zeros(self.ambient_dim, dtype=np.complex128)
-        alpha[list(self.support)] = self.values
-        return alpha
-
     def norm(self):
         return float(np.linalg.norm(self.values))
 
@@ -204,16 +194,17 @@ def _check_same_n(A, dictionary):
 
 @dataclass(frozen=True, eq=False)
 class Measurements:
-    """Observed vector y = A x + e and the noise norm actually injected."""
+    """Observed vector y = A x + e."""
 
     y: np.ndarray
-    noise_norm: float = 0.0
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=np.complex128)
         if y.ndim != 1:
             raise InvalidInputError("y must be a vector")
-        if not math.isfinite(np.linalg.norm(y)):
+        with np.errstate(over="ignore"):  # the check reports the overflow
+            y_norm = np.linalg.norm(y)
+        if not math.isfinite(y_norm):
             raise InvalidInputError("y contains non-finite entries or its norm overflows")
         object.__setattr__(self, "y", y)
 
@@ -452,4 +443,4 @@ def measure(A, x, noise_norm, seed=None):
         if ne == 0.0:
             raise NumericalFailureError("degenerate noise draw")
         y = y + (noise_norm / ne) * e
-    return Measurements(y=np.asarray(y, dtype=np.complex128), noise_norm=float(noise_norm))
+    return Measurements(y=np.asarray(y, dtype=np.complex128))

@@ -290,7 +290,7 @@ class OMPBackend:
         z = _check_projection_args(dictionary, z, k)
 
         def refit(selected):
-            return build_projector(dictionary.columns(selected)).complement(z), None
+            return z - build_projector(dictionary.columns(selected)).apply(z), None
 
         for _, _, selected, _, _ in omp_steps(dictionary.analysis, dictionary.column_norms,
                                               refit, z, k):
@@ -470,7 +470,8 @@ def basis_pursuit_denoise(M, z, sigma):
     Raises
     ------
     NumericalFailureError
-        If the residuals miss their tolerances within ``ADMM_MAX_ITERS``.
+        If ``||z||`` overflows, or if the residuals miss their tolerances
+        within ``ADMM_MAX_ITERS``.
     """
     M = np.asarray(M, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
@@ -478,7 +479,10 @@ def basis_pursuit_denoise(M, z, sigma):
         raise InvalidInputError("basis_pursuit_denoise: shape mismatch")
     if not sigma >= 0:
         raise InvalidInputError("sigma must be >= 0")
-    scale = float(np.linalg.norm(z))
+    with np.errstate(over="ignore"):  # the check below reports the overflow
+        scale = float(np.linalg.norm(z))
+    if not math.isfinite(scale):
+        raise NumericalFailureError("basis_pursuit_denoise: the norm of z is not finite")
     if scale == 0.0:
         return np.zeros(M.shape[1], dtype=np.complex128)
     zn = z / scale

@@ -126,6 +126,13 @@ def _guard_finite(vec, what, iteration):
         raise NumericalFailureError(f"{what} became non-finite", iteration=iteration)
 
 
+def _measured(A, measurements):
+    """The measured vector y and its norm, once its length matches A's rows."""
+    if measurements.m != A.m:
+        raise InvalidInputError("measurement length does not match sensing matrix")
+    return measurements.y, float(np.linalg.norm(measurements.y))
+
+
 def _record(it, h, omega, merged, x_tilde, gamma, estimate, residual):
     """Iteration ``it``'s record, with the norms of the proxy ``h`` and of ``residual``."""
     return IterationRecord(
@@ -180,12 +187,9 @@ def sscosamp(A, dictionary, measurements, cfg):
     """
     if A.n != dictionary.n:
         raise InvalidInputError("sensing matrix and dictionary disagree on n")
-    if measurements.m != A.m:
-        raise InvalidInputError("measurement length does not match sensing matrix")
+    y, y_norm = _measured(A, measurements)
     if 2 * cfg.k > dictionary.d:
         raise InvalidInputError(f"identification needs 2k <= d, got k={cfg.k}, d={dictionary.d}")
-    y = measurements.y
-    y_norm = float(np.linalg.norm(y))
     x = np.zeros(dictionary.n, dtype=np.complex128)
     gamma = ()
     residual = y.copy()
@@ -230,14 +234,11 @@ def cosamp_baseline(A, dictionary, measurements, k, max_iters=50, norm_bound=mat
         raise InvalidInputError("k must be >= 1")
     if max_iters < 1:
         raise InvalidInputError("max_iters must be >= 1")
-    if measurements.m != A.m:
-        raise InvalidInputError("measurement length does not match sensing matrix")
+    y, y_norm = _measured(A, measurements)
     Phi = dictionary.sense(A, None)
     d = Phi.shape[1]
     if 2 * k > d:
         raise InvalidInputError(f"identification needs 2k <= d, got k={k}, d={d}")
-    y = measurements.y
-    y_norm = float(np.linalg.norm(y))
     alpha = np.zeros(d, dtype=np.complex128)
     records = []
     steps = cosamp_steps(Phi, Phi.conj().T.__matmul__,
@@ -265,14 +266,11 @@ def omp_baseline(A, dictionary, measurements, k):
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
-    if measurements.m != A.m:
-        raise InvalidInputError("measurement length does not match sensing matrix")
+    y, y_norm = _measured(A, measurements)
     Phi = dictionary.sense(A, None)
     d = Phi.shape[1]
     if k > d:
         raise InvalidInputError(f"k={k} exceeds d={d}")
-    y = measurements.y
-    y_norm = float(np.linalg.norm(y))
     col_norms = np.linalg.norm(Phi, axis=0)
     weights = np.where(col_norms > 0, col_norms, 1.0)
     # formed after the column norms so it never coexists with their temporaries
@@ -306,11 +304,8 @@ def l1_baseline(A, dictionary, measurements, k):
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
-    if measurements.m != A.m:
-        raise InvalidInputError("measurement length does not match sensing matrix")
+    y, y_norm = _measured(A, measurements)
     Phi = dictionary.sense(A, None)
-    y = measurements.y
-    y_norm = float(np.linalg.norm(y))
     support = ()
     if k > 0 and y_norm > 0:
         alpha = basis_pursuit_denoise(Phi, y, L1_SIGMA_REL * y_norm)

@@ -149,6 +149,30 @@ def test_numerical_failure_recorded_not_raised(monkeypatch):
     assert ok and all(r.stop_reason != "numerical_failure" for r in ok)
 
 
+def test_failed_instance_draw_fails_every_run_of_its_trial(monkeypatch):
+    # a sampler's NumericalFailureError used to abort the sweep with no rows
+    real = bench.measure
+    draws = []
+
+    def flaky(*args):
+        draws.append(args)
+        if len(draws) == 2:  # trial 1's draw
+            raise NumericalFailureError("synthetic sampler failure")
+        return real(*args)
+
+    monkeypatch.setattr(bench, "measure", flaky)
+    result = run_sweep(SweepConfig(**TINY))
+    monkeypatch.undo()
+    clean = run_sweep(SweepConfig(**TINY))
+    failed = [r for r in result.rows if r.trial == 1]
+    assert len(failed) == 2 and all(r.stop_reason == "numerical_failure" and r.iterations == 0
+                                    and math.isnan(r.snr_db) for r in failed)
+    # the seed column does not depend on the draw; the other trials are unchanged
+    assert [r.seed for r in result.rows] == [r.seed for r in clean.rows]
+    assert [_row_key(r) for r in result.rows if r.trial != 1] == \
+        [_row_key(r) for r in clean.rows if r.trial != 1]
+
+
 @pytest.mark.parametrize("owner, attr", [
     (np.linalg, "lstsq"),
     (np.linalg, "svd"),
@@ -255,5 +279,6 @@ def test_sweep_max_iters_0_means_scenario_default():
     cfg = SweepConfig(**{**TINY, "max_iters": 0, "algorithms": ("cosamp",)})
     explicit = SweepConfig(**{**TINY, "max_iters": 50, "algorithms": ("cosamp",)})
     assert bench.SCENARIOS[cfg.scenario].default_max_iters == 50
+    assert cfg.max_iters == 50
     assert [_row_key(r) for r in run_sweep(cfg).rows] == \
         [_row_key(r) for r in run_sweep(explicit).rows]

@@ -1,11 +1,16 @@
 """Command-line interface: config parsing, subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import sscosamp
 from sscosamp import InvalidInputError, SweepConfig, run_sweep
 from sscosamp.bench import format_snr
 from sscosamp.cli import build_sweep_config, main, parse_config_file
@@ -411,6 +416,18 @@ def test_noise_that_overflows_the_norm_of_y_exits_2(tmp_path, capsys, algorithm)
     argv = ["recover", "--algorithm", algorithm, "--noise-norm", "1e300", "--m", "24",
             "--n", "32", "--k", "2"]
     assert "norm overflows" in _error_line_of_exit_2(argv, capsys)
+
+
+def test_overflowing_noise_prints_only_the_error_line():
+    # numpy's overflow RuntimeWarning used to come before the error line;
+    # warnings do not reach capsys, so this runs the CLI in a subprocess
+    src = str(Path(sscosamp.__file__).resolve().parents[1])
+    argv = ["recover", "--algorithm", "omp", "--noise-norm", "1e300", "--m", "24", "--n", "32",
+            "--k", "2"]
+    proc = subprocess.run([sys.executable, "-m", "sscosamp.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: y contains non-finite entries or its norm overflows\n"
 
 
 def test_sweep_with_an_unreachable_norm_bound_fails_every_row(tmp_path, capsys):

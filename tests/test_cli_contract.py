@@ -13,8 +13,8 @@ k at 0, 1 and d/2, noise from 0 through 1e300 plus NaN and inf, seeds at -1,
   k = 0, a NaN, a noise whose measurements overflow) exits 2;
 * a sweep that exits 0 or 3 prints every (m, trial, algorithm) row.
 
-The ``@example`` cases are inputs that once exited 1, or exited 0 on an
-out-of-range value.
+The ``@example`` cases are inputs that once exited 1, exited 0 on an
+out-of-range value, or exited 3 without the rows of a sweep.
 """
 
 import contextlib
@@ -125,6 +125,8 @@ def _sweep_entries(algorithms, **extra):
 @example((_sweep_entries("l1", noise_norm="2e154"), None, "json", True))
 @example((_sweep_entries("omp"), -2, "csv", True))
 @example((_sweep_entries("omp", master_seed="-1"), None, "csv", True))
+@example(({"scenario": "dft-separated", "n": "36", "k": "16", "m_grid": "20", "trials": "3",
+           "algorithms": "omp"}, None, "csv", False))  # every instance draw fails
 def test_sweep_contract(case):
     entries, seed, fmt, must_reject = case
     with tempfile.TemporaryDirectory() as tmp:

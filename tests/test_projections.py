@@ -443,6 +443,13 @@ def test_basis_pursuit_edge_cases():
             basis_pursuit_denoise(np.eye(3), np.ones(3), bad_sigma)
 
 
+def test_basis_pursuit_raises_when_the_norm_of_z_overflows():
+    # it used to return all-NaN coefficients: z / inf is 0 and sigma / inf 0
+    M = np.random.default_rng(3).standard_normal((4, 8))
+    with pytest.raises(NumericalFailureError, match="norm of z is not finite"):
+        basis_pursuit_denoise(M, np.full(4, 1e154), 0.01)
+
+
 def test_make_backend_known_names():
     assert isinstance(make_backend("threshold"), ThresholdBackend)
     assert isinstance(make_backend("omp"), OMPBackend)

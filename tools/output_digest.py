@@ -45,10 +45,17 @@ Sections:
   subcommand called through ``cli.main`` at small sizes with valid inputs:
   sweep CSV and JSON with aggregates, ``project-eval``'s quality CSV,
   ``drip`` CSV and JSON, ``recover`` with its trace CSV, ``constants`` text
-  and JSON.
+  and JSON;
+* ``perfbench_passes``: one pass of the benchmark's workloads
+  (``perfbench/workloads.py`` of this checkout, run on the ``--src`` tree)
+  per seed of ``PASS_SEEDS``: its outputs (sweep CSV bytes, diagnostics
+  values) and its attempted, failed, per-failure and success counts.  A
+  pass's counts are exact for its seed, so equal digests mean an equal
+  failure share on those seeds; the counts also go to stderr.
 
 BLAS is pinned to one thread before numpy loads, so threaded reductions do
-not change the last bits.  It takes about 30 s on a 2-core Xeon VM.
+not change the last bits.  It takes about 105 s on a 2-core Xeon VM, 75 s
+of them in ``perfbench_passes``.
 """
 
 import argparse
@@ -127,11 +134,16 @@ def sweep_csv(ss):
         for noise in (0.0, 0.05):
             cfg = ss.SweepConfig(scenario=scenario, n=16, k=2, m_grid=(8, 12), trials=1,
                                  algorithms=ALGORITHMS, noise_norm=noise, master_seed=SEED)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                ss.write_sweep_csv(ss.run_sweep(cfg), "-")
-            digest.add(scenario, noise, out.getvalue())
+            digest.add(scenario, noise, _csv_text(ss, ss.run_sweep(cfg)))
     return digest
+
+
+def _csv_text(ss, result):
+    """The sweep CSV of ``result`` as text."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        ss.write_sweep_csv(result, "-")
+    return out.getvalue()
 
 
 # (owner, attribute) of LAPACK-backed calls made to fail one at a time
@@ -362,6 +374,35 @@ CLI_CALLS = [
 ]
 
 
+# (workload, seeds) that perfbench_passes runs one pass of each
+PASS_SEEDS = (
+    ("diagnostics", (*range(1, 21), 101, 2026)),
+    ("identity", (101,)),
+    ("separated", (101,)),
+)
+
+
+def perfbench_passes(ss):
+    sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads  # imports sscosamp, which is already the --src tree's
+
+    digest = Digest()
+    with tempfile.TemporaryDirectory() as out_dir:
+        for name, seeds in PASS_SEEDS:
+            workload = workloads.make_workload(name, out_dir)
+            for seed in seeds:
+                workload.setup(seed)
+                res = workload.run_pass(seed)
+                counts = (res.attempted, res.failed, sorted(res.failures.items()), res.successes)
+                digest.add(name, seed, counts)
+                for output in res.outputs:
+                    digest.add(*(_csv_text(ss, item) if isinstance(item, ss.SweepResult) else item
+                                 for item in output))
+                print(f"# perfbench {name} seed {seed}: {res.failed} of {res.attempted} failed"
+                      f" {dict(res.failures)}", file=sys.stderr)
+    return digest
+
+
 def cli_outputs(ss):
     import sscosamp.cli  # noqa: F401  loads ss.cli from the same tree as ss
 
@@ -388,7 +429,7 @@ def cli_outputs(ss):
 
 SECTIONS = (sweep_csv, run_algorithm, identity_gate, projection_study, projection_study_all,
             backend_supports, admm, mismatch, mismatch_kept, drip_exact, build_projector,
-            cli_outputs)
+            cli_outputs, perfbench_passes)
 
 
 def main(argv=None):
