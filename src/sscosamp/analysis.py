@@ -14,13 +14,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import build_projector, lstsq
 from .model import SparseCoefficients
-from .projections import (
-    OMPBackend,
-    exhaustive_argmin,
-    project_support,
-    stacked_residuals,
-    support_bases,
-)
+from .projections import _check_oracle_args, exhaustive_argmin, stacked_residuals, support_bases
 
 __all__ = [
     "snr_db",
@@ -58,10 +52,11 @@ def snr_db(x_true, x_est):
     x_est = np.asarray(x_est, dtype=np.complex128)
     if x_true.shape != x_est.shape:
         raise InvalidInputError("snr_db: shape mismatch")
-    signal = float(np.linalg.norm(x_true))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, handled below
+        signal = float(np.linalg.norm(x_true))
+        err = float(np.linalg.norm(x_true - x_est))
     if signal == 0.0:
         raise InvalidInputError("snr_db undefined for zero reference signal")
-    err = float(np.linalg.norm(x_true - x_est))
     if err < SNR_ERROR_FLOOR:
         return math.inf
     if err == math.inf:
@@ -217,27 +212,18 @@ class MismatchReport:
     k: int
     value: float
     minimizing_coeffs: SparseCoefficients
-    exhaustive: bool
 
 
-def mismatch(dictionary, x, k, greedy=False):
+def mismatch(dictionary, x, k):
     """Evaluate the model-mismatch quantity for x at sparsity k.
 
-    Exhaustive mode scans every size-k support and refuses more than
+    Scans every size-k support and refuses more than
     ``projections.DEFAULT_ENUMERATION_CAP`` of them.  It scores the residuals
-    of stacked bases (``projections.exhaustive_argmin``) and fits the winner
-    by least squares, which gives the reported value and coefficients.
-    ``greedy=True`` instead scores only the support chosen by the greedy
-    pursuit backend, which is a (possibly looser) upper bound usable on
-    large instances.
+    of stacked bases (``projections.exhaustive_argmin``, which keeps them on
+    the dictionary) and fits the winner by least squares, which gives the
+    reported value and coefficients.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.shape[0] != dictionary.n:
-        raise InvalidInputError(f"x must be a length-{dictionary.n} vector")
-    if not np.isfinite(x).all():
-        raise InvalidInputError("x contains non-finite entries")
-    if not 1 <= k <= dictionary.d:
-        raise InvalidInputError(f"need 1 <= k <= d={dictionary.d}")
+    x = _check_oracle_args(dictionary, x, k)
     root_k = math.sqrt(k)
 
     def exact(support):
@@ -250,16 +236,10 @@ def mismatch(dictionary, x, k, greedy=False):
         resid = stacked_residuals(Q, x)
         return np.linalg.norm(resid, axis=1) + np.abs(resid).sum(axis=1) / root_k
 
-    if greedy:
-        support = project_support(OMPBackend(), dictionary, x, k)
-        best, best_coeffs = exact(support)
-    else:
-        scale = float(np.linalg.norm(x) + np.linalg.norm(x, 1) / root_k)
-        support, best, best_coeffs = exhaustive_argmin(dictionary.matrix, k, batch_scores,
-                                                       exact, scale)
+    scale = float(np.linalg.norm(x) + np.linalg.norm(x, 1) / root_k)
+    support, best, best_coeffs = exhaustive_argmin(dictionary, k, batch_scores, exact, scale)
     coeffs = SparseCoefficients(support=support, values=best_coeffs, ambient_dim=dictionary.d)
-    return MismatchReport(k=int(k), value=best, minimizing_coeffs=coeffs,
-                          exhaustive=not greedy)
+    return MismatchReport(k=int(k), value=best, minimizing_coeffs=coeffs)
 
 
 @dataclass(frozen=True)

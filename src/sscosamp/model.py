@@ -37,6 +37,10 @@ class Dictionary:
 
     ``matrix`` is stored as complex128 regardless of input dtype.  The
     builders return subclasses with faster operators for their structure.
+    What is derived from ``matrix`` is computed once and kept for the
+    dictionary's lifetime: the column norms, the conjugate ``analysis`` uses
+    and the exhaustive oracle's memos (``projections.optimal_projection``).
+    So ``matrix`` must not be changed in place.
     """
 
     matrix: np.ndarray
@@ -66,12 +70,16 @@ class Dictionary:
     def _conj(self):
         return self.matrix.conj()
 
+    @cached_property
+    def _oracle_memo(self):
+        # the exhaustive oracle's last answer and one-chunk support bases
+        return {}
+
     def analysis(self, z):
         """Return the analysis coefficients D^H z.
 
         The conjugate of ``matrix`` is computed on first use and kept, so
-        repeated calls cost one matrix-vector product each (and, as with
-        ``column_norms``, ``matrix`` must not be changed in place).
+        repeated calls cost one matrix-vector product each.
         """
         return self._conj.T @ z
 

@@ -147,24 +147,19 @@ def stacked_residuals(Q, z):
     return z - (Q @ coef[:, :, None])[:, :, 0]
 
 
-# the last one-chunk scan's (matrix, k, chunks) of ``support_bases``; it keeps
-# that matrix alive until a one-chunk scan of another matrix or k replaces it
-_last_bases = None
-
-
-def _scan_bases(matrix, k):
-    """``support_bases(matrix, k)``, kept for the next scan when it is one chunk."""
-    global _last_bases
-    n, d = matrix.shape
+def _scan_bases(dictionary, k):
+    """``support_bases(dictionary.matrix, k)``, kept on the dictionary when it is one chunk."""
+    n, d = dictionary.matrix.shape
     if math.comb(d, k) > _supports_per_chunk(n, k):
-        return support_bases(matrix, k)  # streamed; the memo stays as it was
+        return support_bases(dictionary.matrix, k)  # streamed; the memo stays as it was
     enumerate_supports(d, k)  # the cap holds on a hit too
-    if _last_bases is None or _last_bases[0] is not matrix or _last_bases[1] != k:
-        _last_bases = (matrix, k, list(support_bases(matrix, k)))
-    return _last_bases[2]
+    memo = dictionary._oracle_memo
+    if memo.get("bases", (None,))[0] != k:
+        memo["bases"] = (k, list(support_bases(dictionary.matrix, k)))
+    return memo["bases"][1]
 
 
-def exhaustive_argmin(matrix, k, batch_scores, exact, scale):
+def exhaustive_argmin(dictionary, k, batch_scores, exact, scale):
     """The first support, in lexicographic order, with the least exact score.
 
     ``batch_scores(Q)`` scores a stack of full-rank bases at once;
@@ -176,16 +171,15 @@ def exhaustive_argmin(matrix, k, batch_scores, exact, scale):
     ``(support, score, result)``.
 
     When all C(d, k) supports fit in one chunk of ``support_bases``, the
-    chunk is kept and the next scan of the same ``matrix`` object at the same
-    k reuses it, whatever it scores; so ``matrix`` must not change in place.
-    Larger scans stream their chunks and keep nothing.  The kept arrays never
-    leave this function: ``batch_scores`` gets a copy (``Q[full]``) and
-    supports leave as tuples.
+    chunk is kept on ``dictionary`` (see ``Dictionary``) and its next scan at
+    the same k reuses it, whatever it scores.  Larger scans stream their
+    chunks and keep nothing.  The kept arrays never leave this function:
+    ``batch_scores`` gets a copy (``Q[full]``) and supports leave as tuples.
     """
     tol = TIE_RTOL * scale
     best = math.inf
     near = []  # (support, score) within tol of the least so far, in order
-    for supports, Q, full in _scan_bases(matrix, k):
+    for supports, Q, full in _scan_bases(dictionary, k):
         scores = np.empty(len(supports))
         scores[full] = batch_scores(Q[full])
         for i in np.flatnonzero(~full):
@@ -327,9 +321,11 @@ class L1Backend:
 
     def support(self, dictionary, z, k):
         z = _check_projection_args(dictionary, z, k)
-        if np.linalg.norm(z) == 0.0:
+        with np.errstate(over="ignore"):  # basis_pursuit_denoise reports the overflow
+            z_norm = np.linalg.norm(z)
+        if z_norm == 0.0:
             return tuple(range(k))
-        alpha = basis_pursuit_denoise(dictionary.matrix, z, L1_SIGMA_REL * np.linalg.norm(z))
+        alpha = basis_pursuit_denoise(dictionary.matrix, z, L1_SIGMA_REL * z_norm)
         return top_k(np.abs(alpha), k)
 
 
@@ -371,9 +367,12 @@ def project_support(backend, dictionary, z, k):
     return tuple(sorted(int(i) for i in support))
 
 
-# optimal_projection's last answer, (dictionary, k, z, support, projection);
-# it keeps that dictionary alive until the next scan replaces it
-_last_optimal = None
+def _check_oracle_args(dictionary, z, k):
+    """``z`` as a complex vector, once it is finite, of length n, and 1 <= k <= d."""
+    z = _check_projection_args(dictionary, z, k)
+    if not np.isfinite(z).all():
+        raise InvalidInputError("z contains non-finite entries")
+    return z
 
 
 def optimal_projection(dictionary, z, k):
@@ -386,22 +385,19 @@ def optimal_projection(dictionary, z, k):
     ``build_projector``'s for the winner.  Refuses instances with more than
     ``DEFAULT_ENUMERATION_CAP`` candidate supports.
 
-    The last answer is kept and returned again, as a fresh copy, when the
-    next call passes the same ``Dictionary`` object, the same k and an equal
-    z, as happens when several backends are scored on one vector.  A new z
-    on the same dictionary and k, from this function or from the exhaustive
-    ``analysis.mismatch``, reuses the stacked bases of the last scan when
-    they fit in one chunk (``exhaustive_argmin``), as happens when many
-    vectors are scored against one dictionary.  A dictionary's matrix must
-    not change in place (see ``Dictionary``).
+    The last answer is kept on the dictionary (see ``Dictionary``) and
+    returned again, as a fresh copy, when the next call passes the same k and
+    an equal z, as happens when several backends are scored on one vector.
+    A new z at the same k, from this function or from ``analysis.mismatch``,
+    reuses the stacked bases of the dictionary's last scan when they fit in
+    one chunk (``exhaustive_argmin``), as happens when many vectors are
+    scored against one dictionary.
     """
-    global _last_optimal
-    z = _check_projection_args(dictionary, z, k)
-    if not np.isfinite(z).all():
-        raise InvalidInputError("z contains non-finite entries")
-    if _last_optimal is not None:
-        last_dictionary, last_k, last_z, support, proj = _last_optimal
-        if last_dictionary is dictionary and last_k == k and np.array_equal(z, last_z):
+    z = _check_oracle_args(dictionary, z, k)
+    memo = dictionary._oracle_memo
+    if "optimal" in memo:
+        last_k, last_z, support, proj = memo["optimal"]
+        if last_k == k and np.array_equal(z, last_z):
             return support, proj.copy()
 
     def exact(support):
@@ -411,9 +407,9 @@ def optimal_projection(dictionary, z, k):
     def batch_scores(Q):
         return np.linalg.norm(stacked_residuals(Q, z), axis=1)
 
-    support, _, proj = exhaustive_argmin(dictionary.matrix, k, batch_scores, exact,
+    support, _, proj = exhaustive_argmin(dictionary, k, batch_scores, exact,
                                          float(np.linalg.norm(z)))
-    _last_optimal = (dictionary, k, z.copy(), support, proj.copy())
+    memo["optimal"] = (k, z.copy(), support, proj.copy())
     return support, proj
 
 

@@ -135,16 +135,17 @@ def _measured(A, measurements):
 
 def _record(it, h, omega, merged, x_tilde, gamma, estimate, residual):
     """Iteration ``it``'s record, with the norms of the proxy ``h`` and of ``residual``."""
-    return IterationRecord(
-        iteration=it,
-        proxy_norm=float(np.linalg.norm(h)),
-        identify_support=omega,
-        merged_support=tuple(merged),
-        x_tilde=x_tilde,
-        pruned_support=gamma,
-        estimate=estimate,
-        residual_norm=float(np.linalg.norm(residual)),
-    )
+    with np.errstate(over="ignore"):  # an overflowing norm is recorded as inf
+        return IterationRecord(
+            iteration=it,
+            proxy_norm=float(np.linalg.norm(h)),
+            identify_support=omega,
+            merged_support=tuple(merged),
+            x_tilde=x_tilde,
+            pruned_support=gamma,
+            estimate=estimate,
+            residual_norm=float(np.linalg.norm(residual)),
+        )
 
 
 def _stop_reason(res_norm, y_norm, new, old):

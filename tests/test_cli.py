@@ -418,16 +418,37 @@ def test_noise_that_overflows_the_norm_of_y_exits_2(tmp_path, capsys, algorithm)
     assert "norm overflows" in _error_line_of_exit_2(argv, capsys)
 
 
+def _cli_subprocess(argv, cwd):
+    src = str(Path(sscosamp.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "sscosamp.cli", *argv], capture_output=True,
+                          text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+
+
 def test_overflowing_noise_prints_only_the_error_line():
     # numpy's overflow RuntimeWarning used to come before the error line;
     # warnings do not reach capsys, so this runs the CLI in a subprocess
-    src = str(Path(sscosamp.__file__).resolve().parents[1])
     argv = ["recover", "--algorithm", "omp", "--noise-norm", "1e300", "--m", "24", "--n", "32",
             "--k", "2"]
-    proc = subprocess.run([sys.executable, "-m", "sscosamp.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    proc = _cli_subprocess(argv, None)
     assert proc.returncode == 2
     assert proc.stderr == "error: y contains non-finite entries or its norm overflows\n"
+
+
+def test_overflowing_norms_print_no_warning(tmp_path):
+    # snr_db, L1Backend.support and the baselines' records took norms that
+    # overflow, and numpy's RuntimeWarning reached stderr
+    argv = ["recover", "--scenario", "dft-clustered", "--algorithm", "omp", "--n", "4", "--k",
+            "1", "--m", "1", "--noise-norm", "1e154"]
+    proc = _cli_subprocess(argv, tmp_path)
+    assert proc.returncode == 0 and "snr_db=-inf" in proc.stdout
+    assert proc.stderr == ""
+    (tmp_path / "l1.cfg").write_text(
+        "scenario = rescaled-identity\nn = 16\nk = 2\nm_grid = 8\ntrials = 2\n"
+        "algorithms = sscosamp-l1, l1\nnoise_norm = 1e154\n", encoding="ascii")
+    proc = _cli_subprocess(["sweep", "--config", "l1.cfg"], tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr == "numerical failure: 2 of 4 runs\n"
 
 
 def test_sweep_with_an_unreachable_norm_bound_fails_every_row(tmp_path, capsys):

@@ -213,11 +213,10 @@ def _count_builds(monkeypatch):
     build = projections.support_bases
     monkeypatch.setattr(projections, "support_bases",
                         lambda *args: builds.append(args) or build(*args))
-    monkeypatch.setattr(projections, "_last_bases", None)
     return builds
 
 
-def test_oracle_and_mismatch_share_one_scan_per_matrix_and_k(monkeypatch):
+def test_oracle_and_mismatch_share_one_scan_per_dictionary_and_k(monkeypatch):
     builds = _count_builds(monkeypatch)
     rng = np.random.default_rng(71)
     M = rng.standard_normal((8, 12))  # real, so every Dictionary(M) casts a new matrix
@@ -228,7 +227,7 @@ def test_oracle_and_mismatch_share_one_scan_per_matrix_and_k(monkeypatch):
     assert optimal_projection(D, z2, 2)[0] == _reference_support(D, z2, 2)
     assert mismatch(D, x, 2).value == pytest.approx(_reference_mismatch(D, x, 2), rel=1e-12)
     assert len(builds) == 1
-    # a twin dictionary holds another matrix, so it is scanned again
+    # a twin dictionary keeps its own memo, so it is scanned again
     twin = Dictionary(M)
     assert twin.matrix is not D.matrix
     assert optimal_projection(twin, z1, 2)[0] == _reference_support(D, z1, 2)
@@ -237,20 +236,37 @@ def test_oracle_and_mismatch_share_one_scan_per_matrix_and_k(monkeypatch):
     assert optimal_projection(D, z1, 3)[0] == _reference_support(D, z1, 3)
     assert optimal_projection(D, z2, 2)[0] == _reference_support(D, z2, 2)
     assert len(builds) == 4
-    # the bases belong to the matrix object: a dictionary on the same array shares them
+    # the bases belong to the dictionary: a new one on the same array starts cold
     assert optimal_projection(Dictionary(D.matrix), z1, 2)[0] == _reference_support(D, z1, 2)
-    assert len(builds) == 4
+    assert len(builds) == 5
 
     # a scorer that writes into its stack does not reach the kept bases
     def vandal(Q):
         Q[:] = 0.0
         return np.zeros(len(Q))
 
-    kept = [Q.copy() for _, Q, _ in projections._last_bases[2]]
-    projections.exhaustive_argmin(D.matrix, 2, vandal, lambda s: (0.0, None), 1.0)
-    assert all(_same_bits(Q, copy) for (_, Q, _), copy in zip(projections._last_bases[2], kept))
+    kept = [Q.copy() for _, Q, _ in D._oracle_memo["bases"][1]]
+    projections.exhaustive_argmin(D, 2, vandal, lambda s: (0.0, None), 1.0)
+    assert all(_same_bits(Q, copy) for (_, Q, _), copy in zip(D._oracle_memo["bases"][1], kept))
     assert optimal_projection(D, x, 2)[0] == _reference_support(D, x, 2)
-    assert len(builds) == 4
+    assert len(builds) == 5
+
+
+def test_each_dictionary_keeps_its_own_memo(monkeypatch):
+    rng = np.random.default_rng(79)
+    dictionaries = [_random_dictionary(rng, 8, 12) for _ in range(2)]
+    builds = _count_builds(monkeypatch)
+    for _ in range(3):
+        for D in dictionaries:
+            z, x = _random_complex(rng, 8), _random_complex(rng, 8)
+            assert optimal_projection(D, z, 2)[0] == _reference_support(D, z, 2)
+            assert mismatch(D, x, 2).value == pytest.approx(_reference_mismatch(D, x, 2),
+                                                            rel=1e-12)
+    assert len(builds) == 2
+    fresh = Dictionary(dictionaries[0].matrix)
+    assert "bases" not in fresh._oracle_memo
+    optimal_projection(fresh, z, 2)
+    assert len(builds) == 3
 
 
 def test_multi_chunk_scans_are_repeated_and_never_kept(monkeypatch):
@@ -264,16 +280,17 @@ def test_multi_chunk_scans_are_repeated_and_never_kept(monkeypatch):
         y = _random_complex(rng, 8)
         assert optimal_projection(D, y, k)[0] == _reference_support(D, y, k)
         assert mismatch(D, z, k).value == pytest.approx(_reference_mismatch(D, z, k), rel=1e-12)
-        assert projections._last_bases is None
+        assert "bases" not in D._oracle_memo
     assert len(builds) == 6
-    # three supports fit one chunk: kept, then left in place by a streamed scan
+    # three supports fit one chunk: kept, then left in place by a streamed scan at another k
     optimal_projection(small, z, 1)
     mismatch(small, z, 1)
     assert len(builds) == 7
-    assert projections._last_bases[0] is small.matrix and len(projections._last_bases[2]) == 1
-    mismatch(D, z, 1)
+    kept = small._oracle_memo["bases"]
+    assert kept[0] == 1 and len(kept[1]) == 1
+    mismatch(small, z, 2)
     assert len(builds) == 8
-    assert projections._last_bases[0] is small.matrix and len(projections._last_bases[2]) == 1
+    assert small._oracle_memo["bases"] is kept
 
 
 @st.composite
@@ -298,12 +315,8 @@ def _oracle_cases(draw):
 
 
 def _oracle_answers(D, z, k, cold):
-    if cold:
-        projections._last_bases = projections._last_optimal = None
-    support, proj = optimal_projection(D, z, k)
-    if cold:
-        projections._last_bases = None
-    report = mismatch(D, z, k)
+    support, proj = optimal_projection(Dictionary(D.matrix) if cold else D, z, k)
+    report = mismatch(Dictionary(D.matrix) if cold else D, z, k)
     return support, proj, report.value, report.minimizing_coeffs
 
 
@@ -312,7 +325,6 @@ def _oracle_answers(D, z, k, cold):
 def test_kept_bases_give_the_answers_of_a_cold_scan(case):
     D, k, zs, chunk = case
     with mock.patch.object(projections, "SUPPORT_CHUNK_ELEMENTS", chunk):
-        projections._last_bases = None
         warm = [_oracle_answers(D, z, k, False) for z in zs]  # all but the first scan hit
         for z, (support, proj, value, coeffs) in zip(zs, warm):
             cold_support, cold_proj, cold_value, cold_coeffs = _oracle_answers(D, z, k, True)

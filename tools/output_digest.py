@@ -19,8 +19,8 @@ Sections:
 * ``projection_study``: ``run_projection_study`` rows for all five backends
   at two seeds, one backend a study (a failed study digests its error text
   and diagnostics); every oracle scan after the first reuses the stacked
-  bases that ``exhaustive_argmin`` keeps for one dictionary and k, so this
-  section and the next exercise the kept bases;
+  bases that ``exhaustive_argmin`` keeps on the dictionary for one k, so
+  this section and the next exercise the kept bases;
 * ``projection_study_all``: the same studies with all five backends scored on
   each vector in one call, so every backend after the first gets the
   exhaustive oracle's answer from ``optimal_projection``'s memo of its last
@@ -30,15 +30,15 @@ Sections:
 * ``backend_supports``: ``OMPBackend`` and ``CoSaMPBackend`` supports;
 * ``admm``: the coefficients ``basis_pursuit_denoise`` returns, or its
   failure text and diagnostics (supports and refits hide small changes);
-* ``mismatch``: exhaustive and greedy ``mismatch`` values and coefficients;
-  k changes on every exhaustive call, so each one builds its bases afresh
-  (``random12x30`` at k = 3 streams three chunks) and none reuses the kept
-  ones;
-* ``mismatch_kept``: exhaustive ``mismatch`` values and coefficients of
-  twelve vectors on one 16 x 32 DFT at k = 2, so every scan after the first
-  reuses the bases that ``exhaustive_argmin`` keeps; this is the section
-  that compares those memo hits across trees (``tests/test_projections.py``
-  compares them with cold scans within one tree);
+* ``mismatch``: ``mismatch`` values and coefficients; k changes on every
+  call, so each one builds its bases afresh (``random12x30`` at k = 3
+  streams three chunks) and none reuses the kept ones;
+* ``mismatch_kept``: ``mismatch`` values and coefficients of twelve vectors
+  on one 16 x 32 DFT at k = 2, so every scan after the first reuses the
+  bases that ``exhaustive_argmin`` keeps on that dictionary; this is the
+  section that compares those memo hits across trees
+  (``tests/test_projections.py`` compares them with cold scans, each on a
+  fresh ``Dictionary``, within one tree);
 * ``drip_exact``: exhaustive isometry constants;
 * ``build_projector``: projector bases, rank-deficient ones included;
 * ``cli_outputs``: exit code, stdout, stderr and written files of every
@@ -51,10 +51,14 @@ Sections:
   per seed of ``PASS_SEEDS``: its outputs (sweep CSV bytes, diagnostics
   values) and its attempted, failed, per-failure and success counts.  A
   pass's counts are exact for its seed, so equal digests mean an equal
-  failure share on those seeds; the counts also go to stderr.
+  failure share on those seeds; the counts also go to stderr.  Of these
+  seeds, only diagnostics 26, 40, 45, 46 and 101 fail, each 1 of 504
+  operations: an L1 solve that reaches ADMM's iteration cap.  A timed
+  ``perfbench/run.py`` counts ``failed`` over all its passes (5 of 2520 and
+  7 of 3528 at diagnostics seed 26), so compare its shares, not its counts.
 
 BLAS is pinned to one thread before numpy loads, so threaded reductions do
-not change the last bits.  It takes about 105 s on a 2-core Xeon VM, 75 s
+not change the last bits.  It takes about 175 s on a 2-core Xeon VM, 155 s
 of them in ``perfbench_passes``.
 """
 
@@ -280,11 +284,9 @@ def mismatch(ss):
         for trial in range(4):
             x = _random_complex(rng, D.n)
             for k in (1, 2, 3):
-                for greedy in (False, True):
-                    report = ss.mismatch(D, x, k, greedy=greedy)
-                    coeffs = report.minimizing_coeffs
-                    digest.add(label, trial, k, greedy, report.value, coeffs.support,
-                               coeffs.values)
+                report = ss.mismatch(D, x, k)
+                coeffs = report.minimizing_coeffs
+                digest.add(label, trial, k, report.value, coeffs.support, coeffs.values)
     return digest
 
 
@@ -374,11 +376,12 @@ CLI_CALLS = [
 ]
 
 
-# (workload, seeds) that perfbench_passes runs one pass of each
+# (workload, seeds) that perfbench_passes runs one pass of each; the
+# benchmark's failures happen on diagnostics seeds, so those are many
 PASS_SEEDS = (
-    ("diagnostics", (*range(1, 21), 101, 2026)),
-    ("identity", (101,)),
-    ("separated", (101,)),
+    ("diagnostics", (*range(1, 61), 101, 2026)),
+    ("identity", (101, 2026)),
+    ("separated", (101, 2026)),
 )
 
 
