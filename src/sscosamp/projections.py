@@ -450,15 +450,17 @@ def basis_pursuit_denoise(M, z, sigma):
     """Solve min ||a||_1 s.t. ||M a - z|| <= sigma by ADMM splitting.
 
     Splits into v = a (soft-threshold step) and u = M a - z (projection onto
-    the sigma-ball).  The penalty starts at ``ADMM_RHO_START`` and is
-    balanced every ``RHO_BALANCE_EVERY`` iterations: doubled while the primal
-    residual is more than ``RHO_IMBALANCE`` times the dual one, halved in the
-    reverse case, with the scaled duals rescaled to match.  Both constraints
-    share the penalty, so the linear-system step does not depend on it: it
-    factors I + M^H M once, via the small Gram side when M is wide.  The
-    dual residual is evaluated only when the primal test passes, on a
-    balancing iteration and on the last one.  The problem is solved at unit
-    scale (z normalized) and the answer rescaled.
+    the sigma-ball), stacked as one state x = (v, u) with scaled duals
+    y = (p, q), so the dual step is y += (a, M a - z) - x.  The penalty
+    starts at ``ADMM_RHO_START`` and is balanced every ``RHO_BALANCE_EVERY``
+    iterations: doubled while the primal residual is more than
+    ``RHO_IMBALANCE`` times the dual one, halved in the reverse case, with the
+    scaled duals rescaled to match.  Both constraints share the penalty, so
+    the linear-system step does not depend on it: with
+    W = (I + M M^H)^-1 M, formed once, a = b - M^H W b and M a = W b, for
+    every shape of M.  The residuals and the stopping test are evaluated only
+    on balancing iterations and on the last one.  The problem is solved at
+    unit scale (z normalized) and the answer rescaled.
 
     Returns the sparse iterate v, which is exactly sparse thanks to the
     shrinkage step.
@@ -486,60 +488,44 @@ def basis_pursuit_denoise(M, z, sigma):
     m, d = M.shape
     MH = M.conj().T
 
-    # Woodbury when wide: (I + M^H M)^-1 b = b - M^H (I + M M^H)^-1 M b
-    gram = M @ MH if m < d else MH @ M
+    # Woodbury: (I + M^H M)^-1 = I - M^H W and M (I + M^H M)^-1 = W
     try:
-        chol, lower = scipy.linalg.cho_factor(np.eye(gram.shape[0], dtype=np.complex128) + gram)
+        W = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(np.eye(m, dtype=np.complex128) + M.dot(MH)), M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"basis_pursuit_denoise: {exc}") from exc
 
-    # the LAPACK routine cho_solve calls, without its per-call wrapper (about
-    # 11 of the 14 us cho_solve takes at 16x16); cho_factor has checked that
-    # the system is finite, and every right-hand side is a fresh array
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (chol,))
-    if m < d:
-        def solve(b):
-            return b - MH @ potrs(chol, M @ b, lower=lower, overwrite_b=True)[0]
-    else:
-        def solve(b):
-            return potrs(chol, b, lower=lower, overwrite_b=True)[0]
-
-    def dual_residual():
-        return rho * math.hypot(_norm(v_new - v), _norm(MH @ (u_new - u)))
-
     tol_pri = math.sqrt(d + m) * ADMM_TOL_ABS
     tol_dual = math.sqrt(d) * ADMM_TOL_ABS
-    v = np.zeros(d, dtype=np.complex128)
-    u = np.zeros(m, dtype=np.complex128)
-    p = np.zeros(d, dtype=np.complex128)  # scaled dual for v = a
-    q = np.zeros(m, dtype=np.complex128)  # scaled dual for u = M a - z
+    x = np.zeros(d + m, dtype=np.complex128)  # (v, u)
+    y = np.zeros(d + m, dtype=np.complex128)  # scaled duals (p, q)
     rho = ADMM_RHO_START
     shrink = 1.0 / rho
     for it in range(ADMM_MAX_ITERS):
-        a = solve((v - p) + MH @ (zn + u - q))
-        misfit = M @ a - zn
-        # soft-threshold (prox of the l1 norm, complex-safe)
-        w = a + p
-        mag = np.abs(w)
-        v_new = np.where(mag > shrink, w * (1.0 - shrink / np.maximum(mag, 1e-300)), 0.0)
-        # project onto the residual ball of radius sigma
-        w2 = misfit + q
-        nw2 = _norm(w2)
-        u_new = w2 if nw2 <= sig else w2 * (sig / nw2)
-        p = p + a - v_new  # not p + (a - v_new): that rounds differently
-        q = q + misfit - u_new
-        r_norm = math.hypot(_norm(a - v_new), _norm(misfit - u_new))
-        # the dual residual is needed only once the primal test passes, for a
-        # balancing step and for the failure diagnostics after the last step
-        s_norm = None
-        if r_norm <= tol_pri + ADMM_TOL_REL * max(_norm(a), _norm(v_new), _norm(u_new), 1.0):
-            s_norm = dual_residual()
-            if s_norm <= tol_dual + ADMM_TOL_REL * rho * math.hypot(_norm(p), _norm(MH @ q)):
-                return v_new * scale
+        t = x - y
+        b = t[:d] + MH.dot(zn + t[d:])
+        Wb = W.dot(b)
+        h = np.concatenate((b - MH.dot(Wb), Wb - zn))  # (a, M a - z)
+        x_new = h + y
+        # soft-threshold v (prox of the l1 norm, complex-safe) and project u
+        # onto the residual ball of radius sigma, in place
+        v, u = x_new[:d], x_new[d:]
+        v *= np.maximum(1.0 - shrink / np.maximum(np.abs(v), 1e-300), 0.0)
+        nu = _norm(u)
+        if nu > sig:
+            u *= sig / nu
+        r = h - x_new
+        y += r
         balance = (it + 1) % RHO_BALANCE_EVERY == 0
-        if s_norm is None and (balance or it == ADMM_MAX_ITERS - 1):
-            s_norm = dual_residual()
-        v, u = v_new, u_new
+        if balance or it == ADMM_MAX_ITERS - 1:
+            r_norm = _norm(r)
+            dx = x_new - x
+            s_norm = rho * math.hypot(_norm(dx[:d]), _norm(MH.dot(dx[d:])))
+            if (r_norm <= tol_pri + ADMM_TOL_REL * max(_norm(h[:d]), _norm(v), _norm(u), 1.0)
+                    and s_norm <= tol_dual + ADMM_TOL_REL * rho * math.hypot(
+                        _norm(y[:d]), _norm(MH.dot(y[d:])))):
+                return v * scale
+        x = x_new
         if balance:
             if r_norm > RHO_IMBALANCE * s_norm:
                 step = RHO_STEP
@@ -548,8 +534,7 @@ def basis_pursuit_denoise(M, z, sigma):
             else:
                 continue
             rho *= step
-            p /= step
-            q /= step
+            y /= step
             shrink = 1.0 / rho
     raise NumericalFailureError(
         "basis_pursuit_denoise: ADMM did not converge",

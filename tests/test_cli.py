@@ -180,7 +180,7 @@ def test_project_eval_admm_failure_reports_iteration_and_diagnostics(capsys):
     assert [line.split(",")[2] for line in captured.out.splitlines()[1:]] == ["0", "1", "2"]
     assert captured.err == (
         "numerical failure: basis_pursuit_denoise: ADMM did not converge (iteration 4000; "
-        "dual_residual=3.6308057908582205e-05; primal_residual=3.352863514088589e-06; "
+        "dual_residual=3.630805790820122e-05; primal_residual=3.3528635140567344e-06; "
         "rho=1.0; sigma=1.121439713339793e-06)\n"
     )
 

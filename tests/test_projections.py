@@ -391,9 +391,10 @@ def test_l1_backend_nonconvergence_raises_with_diagnostics(monkeypatch):
     D = _random_dictionary(rng, 8, 16)
     z = _random_complex(rng, 8)
     # the last step's residuals, pinned; 13 is not a multiple of
-    # RHO_BALANCE_EVERY, so the dual residual there serves the diagnostics alone
-    for cap, primal, dual in ((1, "0.6463558242491907", "1.066025918768693e-06"),
-                              (13, "0.2480915970244279", "0.10073928427639864")):
+    # RHO_BALANCE_EVERY, so the residuals there are evaluated only because it
+    # is the last iteration
+    for cap, primal, dual in ((1, "0.6463558242491907", "1.0660259187686922e-06"),
+                              (13, "0.24809159702442787", "0.10073928427639893")):
         monkeypatch.setattr(projections, "ADMM_MAX_ITERS", cap)
         with pytest.raises(NumericalFailureError) as info:
             project_support(L1Backend(), D, z, 2)
@@ -411,8 +412,8 @@ def test_l1_backend_fails_at_the_iteration_cap_on_one_study_vector():
         run_projection_study(D, 2, ("separated",), ("l1",), 4, 101)
     assert info.value.iteration == projections.ADMM_MAX_ITERS == 4000
     assert info.value.diagnostics["rho"] == 1.0
-    assert repr(info.value.diagnostics["primal_residual"]) == "3.352863514088589e-06"
-    assert repr(info.value.diagnostics["dual_residual"]) == "3.6308057908582205e-05"
+    assert repr(info.value.diagnostics["primal_residual"]) == "3.3528635140567344e-06"
+    assert repr(info.value.diagnostics["dual_residual"]) == "3.630805790820122e-05"
 
 
 def _perturbed_dft_vector(D, seed):
