@@ -309,6 +309,10 @@ def main(argv=None):
     except (InvalidInputError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
     except NumericalFailureError as exc:
         facts = [f"iteration {exc.iteration}"] if exc.iteration is not None else []
         facts += [f"{key}={value}" for key, value in sorted(exc.diagnostics.items())]

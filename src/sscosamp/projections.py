@@ -77,7 +77,7 @@ RHO_STEP = 2.0
 # tolerances of its stopping test (Boyd et al., section 3.3.1); the L1 solves'
 # residual-ball radius as a fraction of the target's norm.
 ADMM_RHO_START = 1.0
-ADMM_MAX_ITERS = 4000
+ADMM_MAX_ITERS = 8000
 ADMM_TOL_ABS = 1e-8
 ADMM_TOL_REL = 1e-6
 L1_SIGMA_REL = 1e-6

@@ -169,29 +169,36 @@ def test_project_eval_l1_completes(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 24
 
 
-_FAILING_STUDY = ["project-eval", "--dict", "dft", "--n", "16", "--redundancy", "2",
-                  "--k", "2", "--patterns", "separated", "--backends", "l1", "--seed", "101"]
+_L1_STUDY = ["project-eval", "--dict", "dft", "--n", "16", "--redundancy", "2", "--k", "2",
+             "--backends", "l1", "--seed", "40"]
+_FAILING_STUDY = _L1_STUDY + ["--patterns", "separated,clustered"]
 
 
 def test_project_eval_admm_failure_reports_iteration_and_diagnostics(capsys):
-    rc = main(_FAILING_STUDY + ["--trials", "4"])
+    rc = main(_FAILING_STUDY + ["--trials", "12"])
     assert rc == 3
     captured = capsys.readouterr()
-    assert [line.split(",")[2] for line in captured.out.splitlines()[1:]] == ["0", "1", "2"]
+    rows = [line.split(",")[1:3] for line in captured.out.splitlines()[1:]]
+    assert rows == ([["separated", str(t)] for t in range(12)]
+                    + [["clustered", str(t)] for t in range(11)])
     assert captured.err == (
-        "numerical failure: basis_pursuit_denoise: ADMM did not converge (iteration 4000; "
-        "dual_residual=3.630805790820122e-05; primal_residual=3.3528635140567344e-06; "
-        "rho=1.0; sigma=1.121439713339793e-06)\n"
+        "numerical failure: basis_pursuit_denoise: ADMM did not converge (iteration 8000; "
+        "dual_residual=0.00030378585665513284; primal_residual=0.00014099065693400778; "
+        "rho=1.0; sigma=8.195094975398406e-07)\n"
     )
 
 
 def test_project_eval_failure_keeps_the_rows_scored_before_it(tmp_path):
-    # trial 3's L1 solve fails; trials 0-2 are written as a study of 3 trials writes them
-    failed, complete = tmp_path / "failed.csv", tmp_path / "complete.csv"
-    assert main(_FAILING_STUDY + ["--trials", "4", "--out", str(failed)]) == 3
-    assert main(_FAILING_STUDY + ["--trials", "3", "--out", str(complete)]) == 0
-    assert failed.read_text() == complete.read_text()
-    assert len(failed.read_text().splitlines()) == 1 + 3
+    # clustered trial 11's L1 solve fails; every row before it is written as
+    # the studies that stop short of it write that row
+    failed, separated, both = (tmp_path / name for name in ("f.csv", "s.csv", "b.csv"))
+    assert main(_FAILING_STUDY + ["--trials", "12", "--out", str(failed)]) == 3
+    assert main(_L1_STUDY + ["--patterns", "separated", "--trials", "12",
+                             "--out", str(separated)]) == 0
+    assert main(_FAILING_STUDY + ["--trials", "11", "--out", str(both)]) == 0
+    clustered = [line for line in both.read_text().splitlines() if ",clustered," in line]
+    assert failed.read_text().splitlines() == separated.read_text().splitlines() + clustered
+    assert len(clustered) == 11
 
 
 def test_project_eval_support_sampler_failure_exits_3(capsys):
@@ -362,6 +369,22 @@ def _error_line_of_exit_2(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     return lines[0]
+
+
+@pytest.mark.parametrize("message, expected", [
+    ("Unable to allocate 1.50 GiB for an array with shape (5000, 20000) and data type "
+     "complex128", "error: out of memory: Unable to allocate 1.50 GiB for an array with shape "
+     "(5000, 20000) and data type complex128"),
+    ("", "error: out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_error_exits_2_with_one_line(monkeypatch, capsys, message, expected):
+    # it used to escape main with a traceback and exit 1; injected, never allocated
+    def exhausted(n, redundancy):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sscosamp.bench, "build_overcomplete_dft", exhausted)
+    argv = ["recover", "--scenario", "dft-separated", "--n", "32", "--k", "2", "--m", "16"]
+    assert _error_line_of_exit_2(argv, capsys) == expected
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,7 +32,7 @@ from sscosamp import (
     run_projection_study,
     synthesize,
 )
-from sscosamp import projections
+from sscosamp import bench, projections
 from sscosamp.projections import top_k
 
 ALL_BACKENDS = [
@@ -404,16 +404,43 @@ def test_l1_backend_nonconvergence_raises_with_diagnostics(monkeypatch):
         assert info.value.diagnostics["rho"] == 1.0
 
 
-def test_l1_backend_fails_at_the_iteration_cap_on_one_study_vector():
-    # the one diagnostics L1 vector residual balancing leaves unconverged
-    # (seed 101, separated, trial 3); it converges within 8000 iterations
+class _RecordingL1Backend:
+    """``L1Backend`` that keeps every support it returns."""
+
+    def __init__(self):
+        self.supports = []
+
+    def support(self, dictionary, z, k):
+        self.supports.append(L1Backend().support(dictionary, z, k))
+        return self.supports[-1]
+
+
+def test_l1_backend_fails_at_the_iteration_cap_on_one_study_vector(monkeypatch):
     D = build_overcomplete_dft(16, 2)
+    backend = _RecordingL1Backend()
+    monkeypatch.setattr(bench, "make_backend", lambda name: backend)
+    # seed 101, separated, trial 3 ran out of a 4000-iteration cap; it
+    # converges within ADMM_MAX_ITERS
+    run_projection_study(D, 2, ("separated",), ("l1",), 4, 101)
+    assert backend.supports[3] == (12, 25)
+    # seed 40, clustered, trial 11 does not converge: rho cycles between 0.5 and 2
     with pytest.raises(NumericalFailureError) as info:
-        run_projection_study(D, 2, ("separated",), ("l1",), 4, 101)
-    assert info.value.iteration == projections.ADMM_MAX_ITERS == 4000
+        run_projection_study(D, 2, ("separated", "clustered"), ("l1",), 12, 40)
+    assert [(r.pattern, r.trial) for r in info.value.rows][-1] == ("clustered", 10)
+    assert info.value.iteration == projections.ADMM_MAX_ITERS == 8000
     assert info.value.diagnostics["rho"] == 1.0
-    assert repr(info.value.diagnostics["primal_residual"]) == "3.3528635140567344e-06"
-    assert repr(info.value.diagnostics["dual_residual"]) == "3.630805790820122e-05"
+    assert repr(info.value.diagnostics["primal_residual"]) == "0.00014099065693400778"
+    assert repr(info.value.diagnostics["dual_residual"]) == "0.00030378585665513284"
+
+
+def test_basis_pursuit_woodbury_step_solves_a_tall_system():
+    # the Woodbury operator serves tall and square systems as it serves wide ones
+    rng = np.random.default_rng(67)
+    M = _random_complex(rng, 12, 8)
+    a0 = _random_complex(rng, 8)
+    z = M @ a0
+    est = basis_pursuit_denoise(M, z, 1e-8 * np.linalg.norm(z))
+    assert np.linalg.norm(est - a0) <= 1e-5 * np.linalg.norm(a0)
 
 
 def _perturbed_dft_vector(D, seed):

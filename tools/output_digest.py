@@ -24,9 +24,10 @@ Sections:
 * ``projection_study_all``: the same studies with all five backends scored on
   each vector in one call, so every backend after the first gets the
   exhaustive oracle's answer from ``optimal_projection``'s memo of its last
-  answer; this is the section that exercises that memo (at seed 101 the
-  study stops at the L1 failure of ``separated`` trial 3, whose text and
-  diagnostics it digests);
+  answer; this is the section that exercises that memo.  It runs the seed-101
+  study once more with ``ADMM_MAX_ITERS`` patched to 4000, where it stops at
+  the L1 failure of ``separated`` trial 3, and digests that failure's text and
+  diagnostics;
 * ``backend_supports``: ``OMPBackend`` and ``CoSaMPBackend`` supports;
 * ``admm``: the coefficients ``basis_pursuit_denoise`` returns, or its
   failure text and diagnostics (supports and refits hide small changes);
@@ -52,13 +53,13 @@ Sections:
   values) and its attempted, failed, per-failure and success counts.  A
   pass's counts are exact for its seed, so equal digests mean an equal
   failure share on those seeds; the counts also go to stderr.  Of these
-  seeds, only diagnostics 26, 40, 45, 46 and 101 fail, each 1 of 504
-  operations: an L1 solve that reaches ADMM's iteration cap.  A timed
-  ``perfbench/run.py`` counts ``failed`` over all its passes (5 of 2520 and
-  7 of 3528 at diagnostics seed 26), so compare its shares, not its counts.
+  seeds, only diagnostics 40 and 45 fail, each 1 of 504 operations: an L1
+  solve that reaches ADMM's iteration cap.  A timed ``perfbench/run.py``
+  counts ``failed`` over all its passes, so compare its shares, not its
+  counts.
 
 BLAS is pinned to one thread before numpy loads, so threaded reductions do
-not change the last bits.  It takes about 175 s on a 2-core Xeon VM, 155 s
+not change the last bits.  It takes about 130 s on a 2-core Xeon VM, 107 s
 of them in ``perfbench_passes``.
 """
 
@@ -228,6 +229,9 @@ def projection_study_all(ss):
     for seed in (SEED, 101):
         digest.add(seed)
         _add_study(digest, ss, D, BACKENDS, seed)
+    # no study above fails, so a lower cap keeps an ADMM failure in the digest
+    with mock.patch.object(ss.projections, "ADMM_MAX_ITERS", 4000):
+        _add_study(digest, ss, D, BACKENDS, 101)
     return digest
 
 
