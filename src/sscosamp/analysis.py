@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import build_projector, lstsq
-from .model import SparseCoefficients
+from .model import SparseCoefficients, _check_same_n
 from .projections import _check_oracle_args, exhaustive_argmin, stacked_residuals, support_bases
 
 __all__ = [
@@ -153,8 +153,7 @@ def drip_estimate(A, dictionary, k, trials, seed):
         raise InvalidInputError("trials must be >= 1")
     if not 1 <= k <= dictionary.d:
         raise InvalidInputError(f"need 1 <= k <= d={dictionary.d}")
-    if A.n != dictionary.n:
-        raise InvalidInputError("sensing matrix and dictionary disagree on n")
+    _check_same_n(A, dictionary)
     rng = np.random.default_rng(seed)
     worst = -1.0
     for _ in range(trials):
@@ -184,8 +183,7 @@ def drip_exact(A, dictionary, k):
     """
     if not 1 <= k <= dictionary.d:
         raise InvalidInputError(f"need 1 <= k <= d={dictionary.d}")
-    if A.n != dictionary.n:
-        raise InvalidInputError("sensing matrix and dictionary disagree on n")
+    _check_same_n(A, dictionary)
     gram = A.matrix.T @ A.matrix
     worst = 0.0
     for supports, Q, full in support_bases(dictionary.matrix, k):

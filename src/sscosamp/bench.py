@@ -29,7 +29,7 @@ from .model import (
     measure,
     synthesize,
 )
-from .projections import evaluate_projection_quality, make_backend
+from .projections import _BACKENDS, evaluate_projection_quality, make_backend
 from .recovery import (
     SSCoSaMPConfig,
     cosamp_baseline,
@@ -115,10 +115,7 @@ SCENARIOS = {
     ]
 }
 
-KNOWN_ALGORITHMS = (
-    "sscosamp-threshold", "sscosamp-omp", "sscosamp-cosamp", "sscosamp-l1",
-    "sscosamp-exhaustive", "cosamp", "omp", "l1",
-)
+KNOWN_ALGORITHMS = tuple(f"sscosamp-{b}" for b in _BACKENDS) + ("cosamp", "omp", "l1")
 
 
 @dataclass(frozen=True)
@@ -345,6 +342,14 @@ def format_snr(value):
     return f"{value:.6f}"
 
 
+def _write_csv(path, header, rows):
+    """Write ``header`` and then ``rows`` as CSV to ``path`` (see ``open_output``)."""
+    with open_output(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_sweep_csv(result, path, include_timing=False):
     """Write per-trial rows in long format.
 
@@ -352,40 +357,20 @@ def write_sweep_csv(result, path, include_timing=False):
     runs of the same config produce byte-identical files; measured timings
     stay available on the in-memory rows either way.
     """
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in result.rows:
-            writer.writerow([
-                row.scenario,
-                row.algorithm,
-                row.m,
-                row.trial,
-                row.seed,
-                format_snr(row.snr_db),
-                int(row.success),
-                row.iterations,
-                f"{row.wall_ms:.3f}" if include_timing else "0.000",
-                row.stop_reason,
-            ])
+    _write_csv(path, SWEEP_COLUMNS, (
+        [row.scenario, row.algorithm, row.m, row.trial, row.seed, format_snr(row.snr_db),
+         int(row.success), row.iterations,
+         f"{row.wall_ms:.3f}" if include_timing else "0.000", row.stop_reason]
+        for row in result.rows))
 
 
 def write_aggregate_csv(result, path, include_timing=False):
     """Write per-(algorithm, m) summaries."""
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(AggregateRow)])
-        for agg in result.aggregate():
-            writer.writerow([
-                agg.scenario,
-                agg.algorithm,
-                agg.m,
-                agg.trials,
-                f"{agg.success_rate:.6f}",
-                format_snr(agg.mean_snr_db),
-                f"{agg.mean_iterations:.3f}",
-                f"{agg.mean_wall_ms:.3f}" if include_timing else "0.000",
-            ])
+    _write_csv(path, [f.name for f in fields(AggregateRow)], (
+        [agg.scenario, agg.algorithm, agg.m, agg.trials, f"{agg.success_rate:.6f}",
+         format_snr(agg.mean_snr_db), f"{agg.mean_iterations:.3f}",
+         f"{agg.mean_wall_ms:.3f}" if include_timing else "0.000"]
+        for agg in result.aggregate()))
 
 
 def trace_to_csv(trace, path, x_true):
@@ -394,19 +379,10 @@ def trace_to_csv(trace, path, x_true):
     Columns: iter, residual_norm, error_to_truth, pruned_support.  A
     ``path`` of "-" writes standard output.
     """
-    errors = trace.errors_to(x_true)
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "residual_norm", "error_to_truth", "pruned_support"])
-        for idx, rec in enumerate(trace.records):
-            writer.writerow(
-                [
-                    rec.iteration,
-                    f"{rec.residual_norm:.17g}",
-                    f"{errors[idx]:.17g}",
-                    ";".join(str(i) for i in rec.pruned_support),
-                ]
-            )
+    _write_csv(path, ["iter", "residual_norm", "error_to_truth", "pruned_support"], (
+        [rec.iteration, f"{rec.residual_norm:.17g}", f"{err:.17g}",
+         ";".join(str(i) for i in rec.pruned_support)]
+        for rec, err in zip(trace.records, trace.errors_to(x_true))))
 
 
 @dataclass(frozen=True)
@@ -470,9 +446,7 @@ def write_quality_csv(rows, path):
     def fmt(value):
         return "inf" if math.isinf(value) else f"{value:.9f}"
 
-    with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(ProjectionStudyRow)])
-        for row in rows:
-            writer.writerow([row.backend, row.pattern, row.trial,
-                             fmt(row.eps1), fmt(row.eps2), fmt(row.opt_residual)])
+    _write_csv(path, [f.name for f in fields(ProjectionStudyRow)], (
+        [row.backend, row.pattern, row.trial, fmt(row.eps1), fmt(row.eps2),
+         fmt(row.opt_residual)]
+        for row in rows))

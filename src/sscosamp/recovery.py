@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import build_projector, lstsq, tikhonov_lsq
+from .model import _check_same_n
 from .projections import (
     L1_SIGMA_REL,
     ThresholdBackend,
@@ -186,8 +187,7 @@ def sscosamp(A, dictionary, measurements, cfg):
     -------
     RecoveryTrace
     """
-    if A.n != dictionary.n:
-        raise InvalidInputError("sensing matrix and dictionary disagree on n")
+    _check_same_n(A, dictionary)
     y, y_norm = _measured(A, measurements)
     if 2 * cfg.k > dictionary.d:
         raise InvalidInputError(f"identification needs 2k <= d, got k={cfg.k}, d={dictionary.d}")
