@@ -15,9 +15,7 @@ import pytest
 
 from sscosamp import (
     Dictionary,
-    ExhaustiveBackend,
     SSCoSaMPConfig,
-    SensingMatrix,
     SweepConfig,
     ThresholdBackend,
     build_overcomplete_dft,
@@ -39,29 +37,13 @@ from sscosamp import (
 )
 from sscosamp.cli import main as cli_main
 
+from _fixtures import (certified_pairs, exhaustive_config, near_orthogonal_sensing,
+                       projection_residual, random_complex, unit_norm_dictionary)
+
 
 def _report(num, ok, detail):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} — {detail}")
     return ok
-
-
-def _random_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _unit_norm_dictionary(rng, n, d):
-    M = _random_complex(rng, n, d)
-    return Dictionary(M / np.linalg.norm(M, axis=0))
-
-
-def _near_orthogonal_sensing(rng, n, wobble=0.002):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return SensingMatrix(Q + wobble * rng.standard_normal((n, n)) / math.sqrt(n))
-
-
-def _projection_residual(dictionary, support, z):
-    P = build_projector(dictionary.columns(support))
-    return float(np.linalg.norm(z - P.apply(z)))
 
 
 def test_criterion_1_convergence_constants():
@@ -155,12 +137,12 @@ def test_criterion_6_oracle_equivalence_and_exhaustive_recovery():
         n = int(rng.integers(6, 11))
         d = int(rng.integers(3, n + 1))
         k = int(rng.integers(1, 3))
-        Q, _ = np.linalg.qr(_random_complex(rng, n, n))
+        Q, _ = np.linalg.qr(random_complex(rng, n, n))
         D = Dictionary(Q[:, :d] * rng.uniform(0.5, 2.0, size=d))
-        z = _random_complex(rng, n)
+        z = random_complex(rng, n)
         sup_thr = project_support(ThresholdBackend(), D, z, k)
         sup_opt, _ = optimal_projection(D, z, k)
-        gap = abs(_projection_residual(D, sup_thr, z) - _projection_residual(D, sup_opt, z))
+        gap = abs(projection_residual(D, sup_thr, z) - projection_residual(D, sup_opt, z))
         worst_gap = max(worst_gap, gap)
         instances += 1
     part1 = instances >= 200 and worst_gap <= 1e-10
@@ -171,17 +153,14 @@ def test_criterion_6_oracle_equivalence_and_exhaustive_recovery():
     min_snr = math.inf
     for seed in range(40):
         rng2 = np.random.default_rng(7000 + seed)
-        D = _unit_norm_dictionary(rng2, 10, 12)
-        A = _near_orthogonal_sensing(rng2, 10)
+        D = unit_norm_dictionary(rng2, 10, 12)
+        A = near_orthogonal_sensing(rng2, 10)
         if drip_exact(A, D, 4).delta_lower >= 0.029:
             continue
         qualified += 1
         coeffs = draw_sparse_coefficients(12, 1, "uniform", 7000 + seed)
         x = synthesize(D, coeffs)
-        trace = sscosamp(A, D, measure(A, x, 0.0), SSCoSaMPConfig(
-            k=1, identify_backend=ExhaustiveBackend(), prune_backend=ExhaustiveBackend(),
-            max_iters=25, tikhonov_norm_bound=10.0 * coeffs.norm(),
-        ))
+        trace = sscosamp(A, D, measure(A, x, 0.0), exhaustive_config(coeffs, 25))
         min_snr = min(min_snr, snr_db(x, trace.x_hat))
     elapsed = time.perf_counter() - start
     part2 = qualified >= 15 and min_snr > 100.0
@@ -204,8 +183,8 @@ def test_criterion_7_property_suites():
     for _ in range(25):
         n = int(rng.integers(6, 14))
         r = int(rng.integers(1, n))
-        P = build_projector(_random_complex(rng, n, r))
-        z = _random_complex(rng, n)
+        P = build_projector(random_complex(rng, n, r))
+        z = random_complex(rng, n)
         pz = P.apply(z)
         zn = float(np.linalg.norm(z))
         ok &= float(np.linalg.norm(P.apply(pz) - pz)) <= 1e-9 * max(1.0, zn)
@@ -218,12 +197,12 @@ def test_criterion_7_property_suites():
     ok = True
     for _ in range(20):
         n = int(rng.integers(8, 14))
-        D = _unit_norm_dictionary(rng, n, n)
+        D = unit_norm_dictionary(rng, n, n)
         big = sorted(int(i) for i in rng.choice(n, size=5, replace=False))
         small = sorted(rng.choice(big, size=2, replace=False))
         P_big = build_projector(D.columns(big))
         P_small = build_projector(D.columns(small))
-        z = _random_complex(rng, n)
+        z = random_complex(rng, n)
         ok &= float(np.linalg.norm(P_small.apply(P_big.apply(z)) - P_small.apply(z))) \
             <= 1e-9 * max(1.0, float(np.linalg.norm(z)))
     checks["nested"] = ok
@@ -232,7 +211,7 @@ def test_criterion_7_property_suites():
     ok = True
     for seed in range(3):
         rng3 = np.random.default_rng(600 + seed)
-        D = _unit_norm_dictionary(rng3, 9, 12)
+        D = unit_norm_dictionary(rng3, 9, 12)
         A = draw_gaussian_sensing(7, 9, 600 + seed)
         delta = drip_exact(A, D, 3).delta_lower
         gram = A.matrix.T @ A.matrix
@@ -248,7 +227,7 @@ def test_criterion_7_property_suites():
     D = build_overcomplete_dft(8, 2)
     for seed in range(10):
         rng4 = np.random.default_rng(40 + seed)
-        z = _random_complex(rng4, 8)
+        z = random_complex(rng4, 8)
         q = evaluate_projection_quality(D, z, 2, ThresholdBackend())
         sup_opt, opt_proj = optimal_projection(D, z, 2)
         sup_est = project_support(ThresholdBackend(), D, z, 2)
@@ -275,20 +254,12 @@ def test_criterion_7_property_suites():
     # decay envelope binds on qualifying instances
     ok = True
     qualifying = 0
-    for seed in range(8):
-        rng5 = np.random.default_rng(300 + seed)
-        D = _unit_norm_dictionary(rng5, 10, 12)
-        A = _near_orthogonal_sensing(rng5, 10)
-        if drip_exact(A, D, 4).delta_lower > 0.029:
-            continue
+    for seed, D, A in certified_pairs(300, 8):
         qualifying += 1
         coeffs = draw_sparse_coefficients(12, 1, "uniform", seed)
         x = synthesize(D, coeffs)
         noise = 0.02 * float(np.linalg.norm(x))
-        trace = sscosamp(A, D, measure(A, x, noise, seed=seed), SSCoSaMPConfig(
-            k=1, identify_backend=ExhaustiveBackend(), prune_backend=ExhaustiveBackend(),
-            max_iters=15, tikhonov_norm_bound=10.0 * coeffs.norm(),
-        ))
+        trace = sscosamp(A, D, measure(A, x, noise, seed=seed), exhaustive_config(coeffs, 15))
         ok &= corollary1_envelope(trace, x, noise).passed
     checks["envelope"] = ok and qualifying >= 3
 

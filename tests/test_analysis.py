@@ -9,7 +9,6 @@ import pytest
 from sscosamp import projections
 from sscosamp import (
     Dictionary,
-    ExhaustiveBackend,
     InstanceTooLargeError,
     InvalidInputError,
     SSCoSaMPConfig,
@@ -30,19 +29,9 @@ from sscosamp import (
     upper_rip_tail_check,
 )
 
-
-def _random_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _unit_norm_dictionary(rng, n, d):
-    M = _random_complex(rng, n, d)
-    return Dictionary(M / np.linalg.norm(M, axis=0))
-
-
-def _near_orthogonal_sensing(rng, n, wobble=0.002):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return SensingMatrix(Q + wobble * rng.standard_normal((n, n)) / math.sqrt(n))
+from _fixtures import (certified_pairs, exhaustive_config, near_orthogonal_sensing,
+                       random_complex, reference_mismatch, reference_oracle,
+                       unit_norm_dictionary)
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +45,8 @@ def test_snr_exact_recovery_is_infinite():
 
 def test_snr_matches_relative_error():
     rng = np.random.default_rng(0)
-    x = _random_complex(rng, 32)
-    direction = _random_complex(rng, 32)
+    x = random_complex(rng, 32)
+    direction = random_complex(rng, 32)
     direction /= np.linalg.norm(direction)
     for rel, expected in [(1e-5, 100.0), (1e-2, 40.0), (0.5, 20.0 * math.log10(2.0))]:
         est = x + rel * np.linalg.norm(x) * direction
@@ -71,8 +60,8 @@ def test_snr_zero_estimate_is_zero_db():
 
 def test_snr_scale_invariance():
     rng = np.random.default_rng(1)
-    x = _random_complex(rng, 16)
-    est = x + 0.01 * _random_complex(rng, 16)
+    x = random_complex(rng, 16)
+    est = x + 0.01 * random_complex(rng, 16)
     for c in [2.0, 1e-6, 3.0 - 2.0j]:
         assert abs(snr_db(c * x, c * est) - snr_db(x, est)) < 1e-9
 
@@ -181,22 +170,13 @@ def test_envelope_holds_under_certified_conditions():
     # noiseless + noisy runs under a tiny isometry constant with exhaustive
     # projections; the decay envelope must then hold at every iteration
     found = 0
-    for seed in range(10):
-        rng = np.random.default_rng(300 + seed)
-        D = _unit_norm_dictionary(rng, 10, 12)
-        A = _near_orthogonal_sensing(rng, 10)
-        if drip_exact(A, D, 4).delta_lower > 0.029:
-            continue
+    for seed, D, A in certified_pairs(300, 10):
         found += 1
         coeffs = draw_sparse_coefficients(12, 1, "uniform", seed)
         x = synthesize(D, coeffs)
         noise = 0.02 * float(np.linalg.norm(x))
         meas = measure(A, x, noise, seed=seed)
-        cfg = SSCoSaMPConfig(
-            k=1, identify_backend=ExhaustiveBackend(), prune_backend=ExhaustiveBackend(),
-            max_iters=15, tikhonov_norm_bound=10.0 * coeffs.norm(),
-        )
-        trace = sscosamp(A, D, meas, cfg)
+        trace = sscosamp(A, D, meas, exhaustive_config(coeffs, 15))
         assert corollary1_envelope(trace, x, noise).passed
     assert found >= 4
 
@@ -265,7 +245,7 @@ def test_projected_gram_deviation_bounded_by_isometry_constant():
     # the eigenvalue-based exhaustive constant
     for seed in range(5):
         rng = np.random.default_rng(400 + seed)
-        D = _unit_norm_dictionary(rng, 9, 12)
+        D = unit_norm_dictionary(rng, 9, 12)
         A = draw_gaussian_sensing(7, 9, 400 + seed)
         k = 3
         delta = drip_exact(A, D, k).delta_lower
@@ -385,7 +365,7 @@ def test_tail_check_validation():
 def _hostile_dictionary():
     # c7 duplicates c1, c8 = 2 c2 + c5, c9 = c3 + 1e-13 c0
     rng = np.random.default_rng(808)
-    M = _random_complex(rng, 8, 10)
+    M = random_complex(rng, 8, 10)
     M /= np.linalg.norm(M, axis=0)
     M[:, 7] = M[:, 1]
     M[:, 8] = 2.0 * M[:, 2] + M[:, 5]
@@ -396,39 +376,17 @@ def _hostile_dictionary():
 def _hostile_vectors(D):
     rng = np.random.default_rng(809)
     near = [(1,), (1, 4), (2, 5, 6), (3, 6), (0, 8)]
-    vectors = [_random_complex(rng, 8) for _ in range(3)]
+    vectors = [random_complex(rng, 8) for _ in range(3)]
     for cols in near:  # close to spans that the special columns duplicate
-        vectors.append(D.columns(cols) @ _random_complex(rng, len(cols))
-                       + 0.01 * _random_complex(rng, 8))
+        vectors.append(D.columns(cols) @ random_complex(rng, len(cols))
+                       + 0.01 * random_complex(rng, 8))
     return vectors
-
-
-def _supports(d, k):
-    return itertools.combinations(range(d), k)
-
-
-def _reference_oracle(D, z, k):
-    best = (math.inf, None)
-    for s in _supports(D.d, k):
-        r = float(np.linalg.norm(z - build_projector(D.columns(s)).apply(z)))
-        if r < best[0]:
-            best = (r, s)
-    return best
-
-
-def _reference_mismatch(D, x, k):
-    best = math.inf
-    for s in _supports(D.d, k):
-        cols = D.columns(s)
-        resid = x - cols @ np.linalg.lstsq(cols, x, rcond=None)[0]
-        best = min(best, float(np.linalg.norm(resid) + np.linalg.norm(resid, 1) / math.sqrt(k)))
-    return best
 
 
 def _reference_drip(A, D, k):
     gram = A.matrix.T @ A.matrix
     worst = 0.0
-    for s in _supports(D.d, k):
+    for s in itertools.combinations(range(D.d), k):
         Q = build_projector(D.columns(s)).basis
         eigs = np.linalg.eigvalsh(Q.conj().T @ gram @ Q)
         worst = max(worst, abs(eigs[-1] - 1.0), abs(eigs[0] - 1.0))
@@ -444,7 +402,7 @@ def test_support_bases_rank_rule_flags_dependent_supports():
                 deficient = ({1, 7} <= set(s) or {3, 9} <= set(s) or {2, 5, 8} <= set(s))
                 assert f == (not deficient), s
                 seen.append(tuple(s))
-        assert seen == list(_supports(10, k))
+        assert seen == list(itertools.combinations(range(10), k))
 
 
 @pytest.mark.parametrize("chunk_elements", [projections.SUPPORT_CHUNK_ELEMENTS, 24])
@@ -454,20 +412,20 @@ def test_stacked_scans_match_per_support_references(monkeypatch, chunk_elements,
     # ties between the duplicated columns fall across chunk boundaries
     monkeypatch.setattr(projections, "SUPPORT_CHUNK_ELEMENTS", chunk_elements)
     D = _hostile_dictionary()
-    A = _near_orthogonal_sensing(np.random.default_rng(810), 8)
+    A = near_orthogonal_sensing(np.random.default_rng(810), 8)
     for z in _hostile_vectors(D):
-        ref_residual, ref_support = _reference_oracle(D, z, k)
+        ref_residual, ref_support = reference_oracle(D, z, k)
         support, proj = projections.optimal_projection(D, z, k)
         assert support == ref_support
         assert float(np.linalg.norm(z - proj)) == pytest.approx(ref_residual, rel=1e-12)
-        assert mismatch(D, z, k).value == pytest.approx(_reference_mismatch(D, z, k), rel=1e-12)
+        assert mismatch(D, z, k).value == pytest.approx(reference_mismatch(D, z, k), rel=1e-12)
     assert drip_exact(A, D, k).delta_lower == pytest.approx(_reference_drip(A, D, k), rel=1e-12)
 
 
 def test_exact_tie_across_chunks_keeps_first_support(monkeypatch):
     monkeypatch.setattr(projections, "SUPPORT_CHUNK_ELEMENTS", 24)  # 3 supports at k = 1
     D = _hostile_dictionary()
-    z = 2.0 * D.matrix[:, 1] + 0.01 * _random_complex(np.random.default_rng(811), 8)
+    z = 2.0 * D.matrix[:, 1] + 0.01 * random_complex(np.random.default_rng(811), 8)
     chunks = [s.ravel().tolist() for s, _, _ in projections.support_bases(D.matrix, 1)]
     assert 1 in chunks[0] and 7 in chunks[2]
     assert projections.optimal_projection(D, z, 1)[0] == (1,)

@@ -25,6 +25,8 @@ from sscosamp import (
     write_sweep_csv,
 )
 
+from _fixtures import fail_first_call
+
 TINY = dict(scenario="rescaled-identity", n=32, k=2, m_grid=(16,), trials=3,
             algorithms=("sscosamp-threshold", "cosamp"), master_seed=7)
 
@@ -179,16 +181,7 @@ def test_failed_instance_draw_fails_every_run_of_its_trial(monkeypatch):
     (scipy.linalg, "qr"),
 ])
 def test_lapack_failure_is_one_failed_row(monkeypatch, owner, attr):
-    real = getattr(owner, attr)
-    calls = []
-
-    def fails_once(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
-            raise np.linalg.LinAlgError("synthetic LAPACK breakdown")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, attr, fails_once)
+    calls = fail_first_call(monkeypatch, owner, attr)
     if attr == "svd":
         # the update fit answers well-conditioned systems by QR and reaches
         # the SVD when that attempt reports a LAPACK error

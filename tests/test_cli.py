@@ -15,6 +15,8 @@ from sscosamp import InvalidInputError, SweepConfig, run_sweep
 from sscosamp.bench import format_snr
 from sscosamp.cli import build_sweep_config, main, parse_config_file
 
+from _fixtures import fail_first_call
+
 SWEEP_CONFIG = """\
 # tiny smoke sweep
 scenario = rescaled-identity
@@ -284,16 +286,7 @@ def test_sweep_out_dash_writes_stdout(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_lapack_failure_writes_row_and_exits_3(tmp_path, capsys, monkeypatch):
-    real = np.linalg.lstsq
-    calls = []
-
-    def fails_once(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
-            raise np.linalg.LinAlgError("synthetic LAPACK breakdown")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", fails_once)
+    fail_first_call(monkeypatch, np.linalg, "lstsq")
     cfg = _write_config(tmp_path, text=SWEEP_CONFIG.replace("sscosamp-threshold", "omp"))
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3

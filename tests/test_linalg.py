@@ -13,9 +13,7 @@ from sscosamp import (
     tikhonov_lsq,
 )
 
-
-def _random_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from _fixtures import random_complex
 
 
 def test_projector_axis_aligned_span():
@@ -34,7 +32,7 @@ def test_projector_drops_duplicate_columns():
 def test_projector_matches_normal_equations():
     # oracle: brute-force B (B^H B)^-1 B^H on a full-rank random matrix
     rng = np.random.default_rng(7)
-    B = _random_complex(rng, 8, 3)
+    B = random_complex(rng, 8, 3)
     Q = build_projector(B).basis
     P = Q @ Q.conj().T
     gram_inv = np.linalg.inv(B.conj().T @ B)
@@ -65,9 +63,9 @@ def test_apply_projector_basic_cases():
 
 def test_projector_residual_orthogonal_to_basis():
     rng = np.random.default_rng(11)
-    B = _random_complex(rng, 8, 3)
+    B = random_complex(rng, 8, 3)
     P = build_projector(B)
-    z = _random_complex(rng, 8)
+    z = random_complex(rng, 8)
     resid = z - P.apply(z)
     assert np.max(np.abs(P.basis.conj().T @ resid)) < 1e-8
 
@@ -77,8 +75,8 @@ def test_projector_idempotence_contraction_pythagoras():
     for _ in range(30):
         n = int(rng.integers(3, 16))
         t = int(rng.integers(1, n + 1))
-        P = build_projector(_random_complex(rng, n, t))
-        z = _random_complex(rng, n)
+        P = build_projector(random_complex(rng, n, t))
+        z = random_complex(rng, n)
         pz = P.apply(z)
         nz = np.linalg.norm(z)
         assert np.linalg.norm(P.apply(pz) - pz) <= 1e-10 * nz
@@ -92,12 +90,12 @@ def test_nested_projection_identity():
     # with nested spans, projecting through the bigger span changes nothing
     rng = np.random.default_rng(33)
     for _ in range(20):
-        D = _random_complex(rng, 10, 14)
+        D = random_complex(rng, 10, 14)
         big = sorted(rng.choice(14, size=6, replace=False))
         small = sorted(rng.choice(big, size=3, replace=False))
         P_small = build_projector(D[:, small])
         P_big = build_projector(D[:, big])
-        z = _random_complex(rng, 10)
+        z = random_complex(rng, 10)
         direct = P_small.apply(z)
         through = P_small.apply(P_big.apply(z))
         assert np.linalg.norm(direct - through) <= 1e-9 * np.linalg.norm(z)
@@ -123,8 +121,8 @@ def test_tikhonov_matches_qr_least_squares_when_slack():
     # oracle: QR-based least squares (gelsy), a different path than the SVD
     rng = np.random.default_rng(5)
     A = rng.standard_normal((12, 6))
-    cols = _random_complex(rng, 6, 4)
-    y = _random_complex(rng, 12)
+    cols = random_complex(rng, 6, 4)
+    y = random_complex(rng, 12)
     oracle, *_ = scipy.linalg.lstsq(A @ cols, y, lapack_driver="gelsy")
     beta = tikhonov_lsq(A @ cols, y, norm_bound=10.0 * np.linalg.norm(oracle))
     assert np.linalg.norm(beta - oracle) <= 1e-6 * np.linalg.norm(oracle)
@@ -162,8 +160,8 @@ def _svd_min_norm(M, y):
 def _tall_well_conditioned(seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((64, 96))
-    cols = _random_complex(rng, 96, 24)
-    y = _random_complex(rng, 64)
+    cols = random_complex(rng, 96, 24)
+    y = random_complex(rng, 64)
     return A, cols, y
 
 
@@ -179,7 +177,7 @@ def test_tikhonov_ill_conditioned_keeps_truncated_min_norm():
     # cutoff drops directions a plain triangular solve would blow up
     D = build_overcomplete_dft(256, 4)
     cols = D.columns(range(100, 124))
-    y = _random_complex(np.random.default_rng(13), 256)
+    y = random_complex(np.random.default_rng(13), 256)
     oracle, live = _svd_min_norm(cols, y)
     assert live < 24
     beta = tikhonov_lsq(cols, y, norm_bound=np.inf)
@@ -188,8 +186,8 @@ def test_tikhonov_ill_conditioned_keeps_truncated_min_norm():
 
 def test_tikhonov_wide_system_gives_min_norm_solution():
     rng = np.random.default_rng(14)
-    M = _random_complex(rng, 8, 12)
-    y = _random_complex(rng, 8)
+    M = random_complex(rng, 8, 12)
+    y = random_complex(rng, 8)
     oracle, live = _svd_min_norm(M, y)
     assert live == 8
     beta = tikhonov_lsq(M, y, norm_bound=np.inf)

@@ -19,6 +19,8 @@ from sscosamp import (
     synthesize,
 )
 
+from _fixtures import random_complex, same_bits
+
 
 def test_dft_redundancy_one_is_unitary():
     D = build_overcomplete_dft(8, 1)
@@ -221,15 +223,11 @@ def test_gaussian_sensing_deterministic_and_scaled():
     assert 0.9 < avg_sq < 1.1
 
 
-def _complex_vector(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
 def test_analysis_is_bit_equal_to_adjoint_product():
     rng = np.random.default_rng(8)
     M = rng.standard_normal((12, 30)) + 1j * rng.standard_normal((12, 30))
     for D in (Dictionary(M), build_rescaled_identity(16, 100.0)):
-        z = _complex_vector(rng, D.n)
+        z = random_complex(rng, D.n)
         expected = D.matrix.conj().T @ z
         assert np.array_equal(D.analysis(z), expected)
         assert np.array_equal(D.analysis(z), expected)  # cached conjugate reused
@@ -239,7 +237,7 @@ def test_analysis_is_bit_equal_to_adjoint_product():
 @pytest.mark.parametrize("redundancy", [1, 2, 4])
 def test_dft_analysis_matches_adjoint_product(n, redundancy):
     D = build_overcomplete_dft(n, redundancy)
-    z = _complex_vector(np.random.default_rng(n * 10 + redundancy), n)
+    z = random_complex(np.random.default_rng(n * 10 + redundancy), n)
     expected = D.matrix.conj().T @ z
     got = D.analysis(z)
     assert got.shape == (D.d,)
@@ -250,14 +248,8 @@ def test_hand_built_dft_kind_keeps_matrix_path():
     rng = np.random.default_rng(9)
     M = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
     D = Dictionary(M)
-    z = _complex_vector(rng, 8)
+    z = random_complex(rng, 8)
     assert np.array_equal(D.analysis(z), M.conj().T @ z)
-
-
-def _same_bits(got, want):
-    # byte comparison: array_equal would equate -0.0 and +0.0
-    return got.dtype == want.dtype and got.shape == want.shape and (
-        np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
 
 
 @pytest.mark.parametrize("m", [32, 128])
@@ -267,10 +259,10 @@ def test_sensing_apply_and_adjoint_give_the_mixed_products_bits(m):
     A = draw_gaussian_sensing(m, 256, m)
     rng = np.random.default_rng(m)
     for _ in range(3):
-        x = _complex_vector(rng, 256)
-        r = _complex_vector(rng, m)
-        assert _same_bits(A.apply(x), A.matrix @ x)
-        assert _same_bits(A.adjoint(r), A.matrix.T @ r)
+        x = random_complex(rng, 256)
+        r = random_complex(rng, m)
+        assert same_bits(A.apply(x), A.matrix @ x)
+        assert same_bits(A.adjoint(r), A.matrix.T @ r)
 
 
 @pytest.mark.parametrize("m", [32, 128])
@@ -278,26 +270,26 @@ def test_rescaled_identity_operators_give_the_dense_bits(m):
     D = build_rescaled_identity(256, 100.0)
     A = draw_gaussian_sensing(m, 256, 5)
     rng = np.random.default_rng(6)
-    z = _complex_vector(rng, 256)
+    z = random_complex(rng, 256)
     # like an update estimate: zero off its support, and zeros of either sign
     sparse = np.zeros(256, dtype=complex)
-    sparse[[3, 140, 200]] = _complex_vector(rng, 3)
+    sparse[[3, 140, 200]] = random_complex(rng, 3)
     signed = sparse.copy()
     signed[::2] *= -1.0
     signed[::3] = np.conj(signed[::3])
     for vec in (z, sparse, -sparse, signed):
-        assert _same_bits(D.analysis(vec), D.matrix.conj().T @ vec)
+        assert same_bits(D.analysis(vec), D.matrix.conj().T @ vec)
     for S in ([7], [0, 127, 128, 255], sorted(rng.choice(256, 24, replace=False)), [9, 2, 9]):
-        assert _same_bits(D.columns(S), D.matrix[:, S])
-        assert _same_bits(D.sense(A, S), A.matrix @ D.matrix[:, S])
-    assert _same_bits(D.sense(A, None), A.matrix @ D.matrix)
+        assert same_bits(D.columns(S), D.matrix[:, S])
+        assert same_bits(D.sense(A, S), A.matrix @ D.matrix[:, S])
+    assert same_bits(D.sense(A, None), A.matrix @ D.matrix)
 
 
 def test_dense_sense_gives_the_product_bits():
     D = build_overcomplete_dft(32, 2)
     A = draw_gaussian_sensing(12, 32, 4)
-    assert _same_bits(D.sense(A, (3, 40, 41)), A.matrix @ D.matrix[:, [3, 40, 41]])
-    assert _same_bits(D.sense(A, None), A.matrix @ D.matrix)
+    assert same_bits(D.sense(A, (3, 40, 41)), A.matrix @ D.matrix[:, [3, 40, 41]])
+    assert same_bits(D.sense(A, None), A.matrix @ D.matrix)
 
 
 @pytest.mark.parametrize("D", [build_overcomplete_dft(8, 2), build_rescaled_identity(8, 100.0)],

@@ -35,6 +35,9 @@ from sscosamp import (
 from sscosamp import bench, projections
 from sscosamp.projections import top_k
 
+from _fixtures import (projection_residual, random_complex, reference_mismatch,
+                       reference_oracle, same_bits, unit_norm_dictionary)
+
 ALL_BACKENDS = [
     ThresholdBackend(),
     OMPBackend(),
@@ -42,20 +45,6 @@ ALL_BACKENDS = [
     L1Backend(),
     ExhaustiveBackend(),
 ]
-
-
-def _random_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _random_dictionary(rng, n, d):
-    M = _random_complex(rng, n, d)
-    return Dictionary(M / np.linalg.norm(M, axis=0))
-
-
-def _residual(dictionary, support, z):
-    P = build_projector(dictionary.columns(support))
-    return float(np.linalg.norm(z - P.apply(z)))
 
 
 def test_threshold_renormalizes_scores():
@@ -75,7 +64,7 @@ def test_every_backend_finds_an_exact_atom():
 def test_omp_matches_exhaustive_on_separated_pairs():
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        D = _random_dictionary(rng, 8, 12)
+        D = unit_norm_dictionary(rng, 8, 12)
         coeffs = draw_sparse_coefficients(12, 2, "separated", seed, min_gap=4)
         z = synthesize(D, coeffs)
         omp = project_support(OMPBackend(), D, z, 2)
@@ -85,8 +74,8 @@ def test_omp_matches_exhaustive_on_separated_pairs():
 
 def test_cardinality_always_k():
     rng = np.random.default_rng(17)
-    D = _random_dictionary(rng, 10, 14)
-    z = _random_complex(rng, 10)
+    D = unit_norm_dictionary(rng, 10, 14)
+    z = random_complex(rng, 10)
     for backend in ALL_BACKENDS:
         for k in (1, 2, 3, 4):
             support = project_support(backend, D, z, k)
@@ -98,31 +87,31 @@ def test_cardinality_always_k():
 def test_backends_never_beat_the_oracle():
     rng = np.random.default_rng(23)
     for _ in range(5):
-        D = _random_dictionary(rng, 8, 12)
-        z = _random_complex(rng, 8)
+        D = unit_norm_dictionary(rng, 8, 12)
+        z = random_complex(rng, 8)
         _, opt_proj = optimal_projection(D, z, 2)
         opt_res = float(np.linalg.norm(z - opt_proj))
         for backend in ALL_BACKENDS:
             support = project_support(backend, D, z, 2)
-            assert _residual(D, support, z) >= opt_res - 1e-10
+            assert projection_residual(D, support, z) >= opt_res - 1e-10
 
 
 def test_threshold_exact_on_orthogonal_columns():
     rng = np.random.default_rng(29)
     for _ in range(10):
-        Q, _ = np.linalg.qr(_random_complex(rng, 8, 8))
+        Q, _ = np.linalg.qr(random_complex(rng, 8, 8))
         scales = rng.uniform(0.5, 20.0, size=8)
         D = Dictionary(Q * scales)
-        z = _random_complex(rng, 8)
+        z = random_complex(rng, 8)
         support = project_support(ThresholdBackend(), D, z, 3)
         _, opt_proj = optimal_projection(D, z, 3)
-        assert _residual(D, support, z) <= np.linalg.norm(z - opt_proj) + 1e-10
+        assert projection_residual(D, support, z) <= np.linalg.norm(z - opt_proj) + 1e-10
 
 
 def test_scale_equivariance():
     rng = np.random.default_rng(31)
-    D = _random_dictionary(rng, 8, 12)
-    z = _random_complex(rng, 8)
+    D = unit_norm_dictionary(rng, 8, 12)
+    z = random_complex(rng, 8)
     for backend in (ThresholdBackend(), OMPBackend(), ExhaustiveBackend()):
         base = project_support(backend, D, z, 2)
         for c in (3.0 - 2.0j, -0.7):
@@ -139,8 +128,8 @@ def test_optimal_projection_zero_vector_lexicographic():
 def test_optimal_projection_self_audit():
     # oracle beats every enumerated support, verified via normal equations
     rng = np.random.default_rng(37)
-    D = _random_dictionary(rng, 6, 10)
-    z = _random_complex(rng, 6)
+    D = unit_norm_dictionary(rng, 6, 10)
+    z = random_complex(rng, 6)
     _, opt_proj = optimal_projection(D, z, 2)
     opt_res = np.linalg.norm(z - opt_proj)
     for sup in itertools.combinations(range(10), 2):
@@ -151,9 +140,9 @@ def test_optimal_projection_self_audit():
 
 def test_optimal_projection_enumeration_cap():
     rng = np.random.default_rng(41)
-    D = _random_dictionary(rng, 8, 30)
+    D = unit_norm_dictionary(rng, 8, 30)
     with pytest.raises(InstanceTooLargeError):
-        optimal_projection(D, _random_complex(rng, 8), 15)
+        optimal_projection(D, random_complex(rng, 8), 15)
 
 
 def test_optimal_projection_reuses_only_its_last_answer_on_equal_inputs(monkeypatch):
@@ -162,9 +151,9 @@ def test_optimal_projection_reuses_only_its_last_answer_on_equal_inputs(monkeypa
     monkeypatch.setattr(projections, "exhaustive_argmin",
                         lambda *args: scans.append(args) or scan(*args))
     rng = np.random.default_rng(67)
-    M = _random_complex(rng, 8, 12)
+    M = random_complex(rng, 8, 12)
     D = Dictionary(M)
-    z = _random_complex(rng, 8)
+    z = random_complex(rng, 8)
     support, proj = optimal_projection(D, z, 2)
     expected = proj.copy()
     # an equal z gets the last answer back, as a fresh copy
@@ -181,31 +170,13 @@ def test_optimal_projection_reuses_only_its_last_answer_on_equal_inputs(monkeypa
     assert len(scans) == 2
     assert twin_support == support and np.array_equal(twin_proj, expected)
     # so is a different k
-    assert optimal_projection(D, z, 3)[0] == _reference_support(D, z, 3)
+    assert optimal_projection(D, z, 3)[0] == reference_oracle(D, z, 3)[1]
     assert len(scans) == 3
     # and a z changed in place since the last call
     assert optimal_projection(D, z, 2)[0] == support
-    z[:] = _random_complex(rng, 8)
-    assert optimal_projection(D, z, 2)[0] == _reference_support(D, z, 2)
+    z[:] = random_complex(rng, 8)
+    assert optimal_projection(D, z, 2)[0] == reference_oracle(D, z, 2)[1]
     assert len(scans) == 5
-
-
-def _reference_support(D, z, k):
-    return min(itertools.combinations(range(D.d), k), key=lambda s: _residual(D, s, z))
-
-
-def _reference_mismatch(D, x, k):
-    def score(support):
-        cols = D.columns(support)
-        resid = x - cols @ np.linalg.lstsq(cols, x, rcond=None)[0]
-        return np.linalg.norm(resid) + np.linalg.norm(resid, 1) / math.sqrt(k)
-
-    return min(score(s) for s in itertools.combinations(range(D.d), k))
-
-
-def _same_bits(got, want):
-    return got.dtype == want.dtype and got.shape == want.shape and (
-        np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
 
 
 def _count_builds(monkeypatch):
@@ -221,23 +192,23 @@ def test_oracle_and_mismatch_share_one_scan_per_dictionary_and_k(monkeypatch):
     rng = np.random.default_rng(71)
     M = rng.standard_normal((8, 12))  # real, so every Dictionary(M) casts a new matrix
     D = Dictionary(M)
-    z1, z2, x = (_random_complex(rng, 8) for _ in range(3))
+    z1, z2, x = (random_complex(rng, 8) for _ in range(3))
     # two vectors through the oracle and one through mismatch: one scan
-    assert optimal_projection(D, z1, 2)[0] == _reference_support(D, z1, 2)
-    assert optimal_projection(D, z2, 2)[0] == _reference_support(D, z2, 2)
-    assert mismatch(D, x, 2).value == pytest.approx(_reference_mismatch(D, x, 2), rel=1e-12)
+    assert optimal_projection(D, z1, 2)[0] == reference_oracle(D, z1, 2)[1]
+    assert optimal_projection(D, z2, 2)[0] == reference_oracle(D, z2, 2)[1]
+    assert mismatch(D, x, 2).value == pytest.approx(reference_mismatch(D, x, 2), rel=1e-12)
     assert len(builds) == 1
     # a twin dictionary keeps its own memo, so it is scanned again
     twin = Dictionary(M)
     assert twin.matrix is not D.matrix
-    assert optimal_projection(twin, z1, 2)[0] == _reference_support(D, z1, 2)
+    assert optimal_projection(twin, z1, 2)[0] == reference_oracle(D, z1, 2)[1]
     assert len(builds) == 2
     # so is a different k, which then replaces the kept bases
-    assert optimal_projection(D, z1, 3)[0] == _reference_support(D, z1, 3)
-    assert optimal_projection(D, z2, 2)[0] == _reference_support(D, z2, 2)
+    assert optimal_projection(D, z1, 3)[0] == reference_oracle(D, z1, 3)[1]
+    assert optimal_projection(D, z2, 2)[0] == reference_oracle(D, z2, 2)[1]
     assert len(builds) == 4
     # the bases belong to the dictionary: a new one on the same array starts cold
-    assert optimal_projection(Dictionary(D.matrix), z1, 2)[0] == _reference_support(D, z1, 2)
+    assert optimal_projection(Dictionary(D.matrix), z1, 2)[0] == reference_oracle(D, z1, 2)[1]
     assert len(builds) == 5
 
     # a scorer that writes into its stack does not reach the kept bases
@@ -247,20 +218,20 @@ def test_oracle_and_mismatch_share_one_scan_per_dictionary_and_k(monkeypatch):
 
     kept = [Q.copy() for _, Q, _ in D._oracle_memo["bases"][1]]
     projections.exhaustive_argmin(D, 2, vandal, lambda s: (0.0, None), 1.0)
-    assert all(_same_bits(Q, copy) for (_, Q, _), copy in zip(D._oracle_memo["bases"][1], kept))
-    assert optimal_projection(D, x, 2)[0] == _reference_support(D, x, 2)
+    assert all(same_bits(Q, copy) for (_, Q, _), copy in zip(D._oracle_memo["bases"][1], kept))
+    assert optimal_projection(D, x, 2)[0] == reference_oracle(D, x, 2)[1]
     assert len(builds) == 5
 
 
 def test_each_dictionary_keeps_its_own_memo(monkeypatch):
     rng = np.random.default_rng(79)
-    dictionaries = [_random_dictionary(rng, 8, 12) for _ in range(2)]
+    dictionaries = [unit_norm_dictionary(rng, 8, 12) for _ in range(2)]
     builds = _count_builds(monkeypatch)
     for _ in range(3):
         for D in dictionaries:
-            z, x = _random_complex(rng, 8), _random_complex(rng, 8)
-            assert optimal_projection(D, z, 2)[0] == _reference_support(D, z, 2)
-            assert mismatch(D, x, 2).value == pytest.approx(_reference_mismatch(D, x, 2),
+            z, x = random_complex(rng, 8), random_complex(rng, 8)
+            assert optimal_projection(D, z, 2)[0] == reference_oracle(D, z, 2)[1]
+            assert mismatch(D, x, 2).value == pytest.approx(reference_mismatch(D, x, 2),
                                                             rel=1e-12)
     assert len(builds) == 2
     fresh = Dictionary(dictionaries[0].matrix)
@@ -273,13 +244,13 @@ def test_multi_chunk_scans_are_repeated_and_never_kept(monkeypatch):
     builds = _count_builds(monkeypatch)
     monkeypatch.setattr(projections, "SUPPORT_CHUNK_ELEMENTS", 24)  # 3 supports at n=8, k=1
     rng = np.random.default_rng(73)
-    D = _random_dictionary(rng, 8, 12)
-    small = _random_dictionary(rng, 8, 3)
-    z = _random_complex(rng, 8)
+    D = unit_norm_dictionary(rng, 8, 12)
+    small = unit_norm_dictionary(rng, 8, 3)
+    z = random_complex(rng, 8)
     for k in (1, 1, 2):
-        y = _random_complex(rng, 8)
-        assert optimal_projection(D, y, k)[0] == _reference_support(D, y, k)
-        assert mismatch(D, z, k).value == pytest.approx(_reference_mismatch(D, z, k), rel=1e-12)
+        y = random_complex(rng, 8)
+        assert optimal_projection(D, y, k)[0] == reference_oracle(D, y, k)[1]
+        assert mismatch(D, z, k).value == pytest.approx(reference_mismatch(D, z, k), rel=1e-12)
         assert "bases" not in D._oracle_memo
     assert len(builds) == 6
     # three supports fit one chunk: kept, then left in place by a streamed scan at another k
@@ -299,7 +270,7 @@ def _oracle_cases(draw):
     k = draw(st.sampled_from([1, 2, 3]))
     d = draw(st.integers(k, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    M = _random_complex(rng, n, d)
+    M = random_complex(rng, n, d)
     for dst, src in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)),
                                   max_size=3)):
         M[:, dst] = M[:, src]  # duplicate columns
@@ -307,9 +278,9 @@ def _oracle_cases(draw):
     for exact in draw(st.lists(st.booleans(), min_size=2, max_size=4)):
         if exact:  # in a k-column span, so the least residual ties at about 0
             cols = rng.choice(d, size=k, replace=False)
-            zs.append(M[:, cols] @ _random_complex(rng, k))
+            zs.append(M[:, cols] @ random_complex(rng, k))
         else:
-            zs.append(_random_complex(rng, n))
+            zs.append(random_complex(rng, n))
     chunk = draw(st.sampled_from([projections.SUPPORT_CHUNK_ELEMENTS, 24]))
     return Dictionary(M), k, zs, chunk
 
@@ -328,9 +299,9 @@ def test_kept_bases_give_the_answers_of_a_cold_scan(case):
         warm = [_oracle_answers(D, z, k, False) for z in zs]  # all but the first scan hit
         for z, (support, proj, value, coeffs) in zip(zs, warm):
             cold_support, cold_proj, cold_value, cold_coeffs = _oracle_answers(D, z, k, True)
-            assert support == cold_support and _same_bits(proj, cold_proj)
+            assert support == cold_support and same_bits(proj, cold_proj)
             assert value == cold_value and coeffs.support == cold_coeffs.support
-            assert _same_bits(coeffs.values, cold_coeffs.values)
+            assert same_bits(coeffs.values, cold_coeffs.values)
 
 
 def test_projection_argument_validation():
@@ -347,8 +318,8 @@ def test_projection_argument_validation():
 
 def test_quality_exhaustive_self_comparison_is_zero():
     rng = np.random.default_rng(43)
-    D = _random_dictionary(rng, 8, 12)
-    z = _random_complex(rng, 8)
+    D = unit_norm_dictionary(rng, 8, 12)
+    z = random_complex(rng, 8)
     q = evaluate_projection_quality(D, z, 2, ExhaustiveBackend())
     assert q.eps1 == 0.0 and q.eps2 == 0.0
 
@@ -356,7 +327,7 @@ def test_quality_exhaustive_self_comparison_is_zero():
 def test_quality_threshold_zero_on_orthonormal():
     rng = np.random.default_rng(47)
     D = build_overcomplete_dft(8, 1)
-    z = _random_complex(rng, 8)
+    z = random_complex(rng, 8)
     q = evaluate_projection_quality(D, z, 2, ThresholdBackend())
     assert q.eps1 <= 1e-12 and q.eps2 <= 1e-12
 
@@ -373,8 +344,8 @@ def test_quality_definitional_self_consistency():
     # the measured pair must satisfy the inequality it is defined by
     rng = np.random.default_rng(53)
     for _ in range(5):
-        D = _random_dictionary(rng, 8, 12)
-        z = _random_complex(rng, 8)
+        D = unit_norm_dictionary(rng, 8, 12)
+        z = random_complex(rng, 8)
         opt_sup, opt_proj = optimal_projection(D, z, 2)
         for backend in (ThresholdBackend(), OMPBackend(), CoSaMPBackend(), L1Backend()):
             q = evaluate_projection_quality(D, z, 2, backend)
@@ -388,8 +359,8 @@ def test_quality_definitional_self_consistency():
 
 def test_l1_backend_nonconvergence_raises_with_diagnostics(monkeypatch):
     rng = np.random.default_rng(59)
-    D = _random_dictionary(rng, 8, 16)
-    z = _random_complex(rng, 8)
+    D = unit_norm_dictionary(rng, 8, 16)
+    z = random_complex(rng, 8)
     # the last step's residuals, pinned; 13 is not a multiple of
     # RHO_BALANCE_EVERY, so the residuals there are evaluated only because it
     # is the last iteration
@@ -436,8 +407,8 @@ def test_l1_backend_fails_at_the_iteration_cap_on_one_study_vector(monkeypatch):
 def test_basis_pursuit_woodbury_step_solves_a_tall_system():
     # the Woodbury operator serves tall and square systems as it serves wide ones
     rng = np.random.default_rng(67)
-    M = _random_complex(rng, 12, 8)
-    a0 = _random_complex(rng, 8)
+    M = random_complex(rng, 12, 8)
+    a0 = random_complex(rng, 8)
     z = M @ a0
     est = basis_pursuit_denoise(M, z, 1e-8 * np.linalg.norm(z))
     assert np.linalg.norm(est - a0) <= 1e-5 * np.linalg.norm(a0)
@@ -445,8 +416,8 @@ def test_basis_pursuit_woodbury_step_solves_a_tall_system():
 
 def _perturbed_dft_vector(D, seed):
     rng = np.random.default_rng(seed)
-    x = D.columns((5, 21)) @ _random_complex(rng, 2)
-    bump = _random_complex(rng, 16)
+    x = D.columns((5, 21)) @ random_complex(rng, 2)
+    bump = random_complex(rng, 16)
     return x + 0.1 * np.linalg.norm(x) * bump / np.linalg.norm(bump)
 
 
@@ -465,7 +436,7 @@ def test_l1_backend_converges_with_residual_balancing(monkeypatch):
 
 def test_basis_pursuit_recovers_sparse_on_orthonormal_system():
     rng = np.random.default_rng(61)
-    Q, _ = np.linalg.qr(_random_complex(rng, 10, 10))
+    Q, _ = np.linalg.qr(random_complex(rng, 10, 10))
     alpha = np.zeros(10, dtype=complex)
     alpha[[2, 7]] = [1.5, -2.0 + 1.0j]
     z = Q @ alpha

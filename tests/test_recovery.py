@@ -7,7 +7,6 @@ import pytest
 
 from sscosamp import (
     Dictionary,
-    ExhaustiveBackend,
     InvalidInputError,
     L1Backend,
     Measurements,
@@ -20,7 +19,6 @@ from sscosamp import (
     cosamp_baseline,
     draw_gaussian_sensing,
     draw_sparse_coefficients,
-    drip_exact,
     l1_baseline,
     measure,
     omp_baseline,
@@ -34,25 +32,8 @@ from sscosamp import projections, recovery
 from sscosamp.bench import KNOWN_ALGORITHMS, SCENARIOS, run_algorithm
 from sscosamp.linalg import lstsq
 
-
-def _same_bits(got, want):
-    # byte comparison: array_equal would equate -0.0 and +0.0
-    return got.dtype == want.dtype and got.shape == want.shape and (
-        np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
-
-
-def _random_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _unit_norm_dictionary(rng, n, d):
-    M = _random_complex(rng, n, d)
-    return Dictionary(M / np.linalg.norm(M, axis=0))
-
-
-def _near_orthogonal_sensing(rng, n, wobble=0.002):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return SensingMatrix(Q + wobble * rng.standard_normal((n, n)) / math.sqrt(n))
+from _fixtures import (certified_pairs, exhaustive_config, random_complex, same_bits,
+                       unit_norm_dictionary)
 
 
 def _identity_instance(k=3, n=8, seed=1):
@@ -73,7 +54,7 @@ def test_identity_instance_recovered_in_one_iteration():
 
 def test_trace_support_invariants():
     rng = np.random.default_rng(3)
-    D = _unit_norm_dictionary(rng, 12, 24)
+    D = unit_norm_dictionary(rng, 12, 24)
     A = draw_gaussian_sensing(8, 12, 3)
     coeffs = draw_sparse_coefficients(24, 2, "uniform", 3)
     meas = measure(A, synthesize(D, coeffs), 0.0)
@@ -103,7 +84,7 @@ def test_trace_residuals_recomputable():
 
 def test_update_step_beats_unregularized_fit_when_bound_slack():
     rng = np.random.default_rng(7)
-    D = _unit_norm_dictionary(rng, 10, 20)
+    D = unit_norm_dictionary(rng, 10, 20)
     A = draw_gaussian_sensing(8, 10, 7)
     coeffs = draw_sparse_coefficients(20, 2, "uniform", 7)
     meas = measure(A, synthesize(D, coeffs), 0.05, seed=8)
@@ -121,21 +102,12 @@ def test_update_step_beats_unregularized_fit_when_bound_slack():
 def test_geometric_decay_with_exhaustive_backends():
     # ideal conditions: noiseless, tiny isometry constant, exact projections
     found = 0
-    for seed in range(12):
-        rng = np.random.default_rng(100 + seed)
-        D = _unit_norm_dictionary(rng, 10, 12)
-        A = _near_orthogonal_sensing(rng, 10)
-        if drip_exact(A, D, 4).delta_lower > 0.029:
-            continue
+    for seed, D, A in certified_pairs(100, 12):
         found += 1
         coeffs = draw_sparse_coefficients(12, 1, "uniform", seed)
         x = synthesize(D, coeffs)
         meas = measure(A, x, 0.0)
-        cfg = SSCoSaMPConfig(
-            k=1, identify_backend=ExhaustiveBackend(), prune_backend=ExhaustiveBackend(),
-            max_iters=20, tikhonov_norm_bound=10.0 * coeffs.norm(),
-        )
-        trace = sscosamp(A, D, meas, cfg)
+        trace = sscosamp(A, D, meas, exhaustive_config(coeffs, 20))
         x_norm = np.linalg.norm(x)
         prev = x_norm  # error of x^0 = 0
         for err in trace.errors_to(x):
@@ -182,11 +154,7 @@ def test_tiny_dft_exhaustive_matches_bruteforce_decoder():
         coeffs = draw_sparse_coefficients(16, 1, "uniform", (51, seed))
         x = synthesize(D, coeffs)
         meas = measure(A, x, 0.0)
-        cfg = SSCoSaMPConfig(
-            k=1, identify_backend=ExhaustiveBackend(), prune_backend=ExhaustiveBackend(),
-            max_iters=20, tikhonov_norm_bound=10.0 * coeffs.norm(),
-        )
-        trace = sscosamp(A, D, meas, cfg)
+        trace = sscosamp(A, D, meas, exhaustive_config(coeffs, 20))
         _, j, c = _best_one_atom_fit(A, D, meas.y)
         assert (j,) == coeffs.support
         assert np.linalg.norm(trace.x_hat - x) <= 1e-8 * np.linalg.norm(x)
@@ -271,7 +239,7 @@ def test_omp_reduces_to_matched_filter_with_identity_sensing():
     rng = np.random.default_rng(14)
     D = build_overcomplete_dft(8, 1)
     A = SensingMatrix(np.eye(8))
-    z = _random_complex(rng, 8)
+    z = random_complex(rng, 8)
     meas = measure(A, z, 0.0)
     trace = omp_baseline(A, D, meas, k=2)
     from sscosamp import ThresholdBackend, project_support
@@ -320,7 +288,7 @@ def test_l1_zero_sparsity_returns_zero_vector():
 
 def test_traces_are_bit_reproducible():
     rng = np.random.default_rng(19)
-    D = _unit_norm_dictionary(rng, 10, 20)
+    D = unit_norm_dictionary(rng, 10, 20)
     A = draw_gaussian_sensing(8, 10, 19)
     coeffs = draw_sparse_coefficients(20, 2, "uniform", 19)
     meas = measure(A, synthesize(D, coeffs), 0.0)
@@ -338,9 +306,9 @@ def test_traces_are_bit_reproducible():
 
 def test_max_iters_stop_reason():
     rng = np.random.default_rng(20)
-    D = _unit_norm_dictionary(rng, 10, 20)
+    D = unit_norm_dictionary(rng, 10, 20)
     A = draw_gaussian_sensing(4, 10, 20)
-    meas = measure(A, _random_complex(rng, 10), 0.0)
+    meas = measure(A, random_complex(rng, 10), 0.0)
     trace = sscosamp(A, D, meas, SSCoSaMPConfig(k=2, max_iters=1))
     assert trace.stop_reason == "max_iters"
     assert trace.iterations_run == 1
@@ -348,9 +316,9 @@ def test_max_iters_stop_reason():
 
 def test_backend_failure_carries_iteration_index(monkeypatch):
     rng = np.random.default_rng(22)
-    D = _unit_norm_dictionary(rng, 8, 16)
+    D = unit_norm_dictionary(rng, 8, 16)
     A = draw_gaussian_sensing(6, 8, 22)
-    meas = measure(A, _random_complex(rng, 8), 0.0)
+    meas = measure(A, random_complex(rng, 8), 0.0)
     monkeypatch.setattr(projections, "ADMM_MAX_ITERS", 1)
     cfg = SSCoSaMPConfig(k=2, identify_backend=L1Backend())
     with pytest.raises(NumericalFailureError) as info:
@@ -567,7 +535,7 @@ def test_l1_baseline_record_pinned(k, noise):
     # the debiasing refit: plain least squares on the kept columns of A D
     cols = list(record.pruned_support)
     beta = lstsq(D.sense(A, None)[:, cols], meas.y)
-    assert _same_bits(trace.x_hat, D.columns(record.pruned_support) @ beta)
+    assert same_bits(trace.x_hat, D.columns(record.pruned_support) @ beta)
 
 
 @pytest.mark.parametrize("algorithm", KNOWN_ALGORITHMS)
