@@ -264,9 +264,13 @@ def upper_rip_tail_check(A, k, z, delta_k_est):
         raise InvalidInputError("k must be >= 1")
     if not delta_k_est >= 0:
         raise InvalidInputError("delta_k_est must be >= 0")
-    bound = math.sqrt(1.0 + delta_k_est) * (
-        float(np.linalg.norm(z)) + float(np.linalg.norm(z, 1)) / math.sqrt(k)
-    )
-    observed = float(np.linalg.norm(A.matrix @ z))
+    with np.errstate(over="ignore"):  # the checks report the overflow
+        z_norm = float(np.linalg.norm(z))
+        if not math.isfinite(z_norm):
+            raise InvalidInputError("z contains non-finite entries or its norm overflows")
+        observed = float(np.linalg.norm(A.matrix @ z))
+    if not math.isfinite(observed):
+        raise InvalidInputError("the norm of A z overflows")
+    bound = math.sqrt(1.0 + delta_k_est) * (z_norm + float(np.linalg.norm(z, 1)) / math.sqrt(k))
     slack = bound - observed
     return TailCheckResult(holds=slack >= 0.0, slack=slack, bound=bound, observed=observed)

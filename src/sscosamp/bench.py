@@ -417,6 +417,9 @@ def run_projection_study(dictionary, k, patterns, backends, trials, seed,
     if not 0 <= perturbation_rel < math.inf:
         raise InvalidInputError(
             f"perturbation_rel must be finite and >= 0, got {perturbation_rel}")
+    for name, values in (("patterns", patterns), ("backends", backends)):
+        if not values:
+            raise InvalidInputError(f"{name} must be non-empty")
     rows = []
     try:
         for p_idx, pattern in enumerate(patterns):

@@ -9,8 +9,9 @@ recover       Run one recovery instance end-to-end and print the trace.
 constants     Evaluate the convergence constants C1, C2 from flags.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment.  Exit
-codes: 0 success, 2 configuration/usage error, 3 numerical failure.  On a
-numerical failure ``project-eval`` still writes the rows scored before it.
+codes: 0 success, 2 configuration/usage error or an output that cannot be
+written, 3 numerical failure.  On a numerical failure ``project-eval`` still
+writes the rows scored before it.
 """
 
 import argparse
@@ -306,7 +307,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, InstanceTooLargeError) as exc:
+    except (InvalidInputError, InstanceTooLargeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

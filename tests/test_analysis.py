@@ -358,6 +358,21 @@ def test_tail_check_validation():
             upper_rip_tail_check(A, 2, np.ones(4), bad_delta)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e200], ids=["nan", "inf", "1e200"])
+def test_tail_check_rejects_a_non_finite_z_or_one_whose_norm_overflows(value):
+    # NaN used to give holds=False with NaN numbers, inf and 1e200 a numpy RuntimeWarning
+    A = draw_gaussian_sensing(4, 8, 0)
+    with pytest.raises(InvalidInputError, match="non-finite entries or its norm overflows"):
+        upper_rip_tail_check(A, 2, np.full(8, value), 0.1)
+
+
+def test_tail_check_rejects_a_z_whose_image_norm_overflows():
+    A = draw_gaussian_sensing(4, 8, 0)
+    z = 1e154 * np.linalg.svd(A.matrix)[2][0]  # ||z|| is finite, ||A z|| = 1.67e154 is not
+    with pytest.raises(InvalidInputError, match="norm of A z overflows"):
+        upper_rip_tail_check(A, 2, z, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # stacked exhaustive scans against plain per-support references
 

@@ -416,6 +416,33 @@ def test_project_eval_bad_sizes_exit_2(flags, message, capsys):
     assert message in _error_line_of_exit_2(argv, capsys)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--backends", ""], "backends must be non-empty"),
+    (["--patterns", " , "], "patterns must be non-empty"),
+], ids=["backends", "patterns"])
+def test_project_eval_empty_lists_exit_2(flags, message, capsys):
+    # both used to write only the CSV header and exit 0
+    argv = ["project-eval", "--n", "8", "--k", "2", "--trials", "1", *flags]
+    assert message in _error_line_of_exit_2(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    "constants --delta 0.1 --out {tmp}/missing/c.txt",
+    "sweep --config {cfg} --out {tmp}/rows.csv --aggregate-out {tmp}/missing/a.csv",
+    "sweep --config {cfg} --out {tmp}",
+    "recover --m 8 --n 16 --k 2 --out {tmp}/missing/t.csv",
+    "drip --m 4 --n 8 --k 2 --trials 3 --out {tmp}",
+    "project-eval --trials 1 --backends threshold --out {tmp}/missing/q.csv",
+], ids=["constants", "sweep-aggregate", "sweep", "recover", "drip", "project-eval"])
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, argv):
+    # each used to exit 1 with a FileNotFoundError or IsADirectoryError traceback
+    assert main(argv.format(tmp=tmp_path, cfg=_write_config(tmp_path)).split()) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(tmp_path) in lines[0]
+    assert "Traceback" not in err
+
+
 def test_constants_nan_exits_2(capsys):
     # it used to print C1 = nan and exit 0
     argv = ["constants", "--delta", "0.1", "--eps1", "nan"]

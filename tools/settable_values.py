@@ -1,4 +1,4 @@
-"""Count the settable values of the sscosamp package and list them.
+"""Count the settable values and source lines of the sscosamp package.
 
 A settable value is a function parameter with a default (positional or
 keyword-only) or an annotated dataclass field with a default or a
@@ -8,7 +8,8 @@ settable and do not count.
     python3 tools/settable_values.py                  # counts this checkout's src/
     python3 tools/settable_values.py --src OTHER/src  # counts another tree
 
-Prints one ``module:line  owner.name`` line per value, then the total.
+Prints one ``module:line  owner.name`` line per value, then the total, then
+the package's line count (what ``wc -l src/sscosamp/*.py`` totals).
 """
 
 import argparse
@@ -76,12 +77,14 @@ def main():
                         help="source root holding the sscosamp package (default: ./src)")
     args = parser.parse_args()
     package = Path(args.src) / "sscosamp"
-    total = 0
+    total = lines = 0
     for path in sorted(package.glob("*.py")):
         for line, name in settable_values(path):
             print(f"{path.name}:{line}  {name}")
             total += 1
+        lines += path.read_bytes().count(b"\n")
     print(f"settable values: {total}")
+    print(f"src lines: {lines}")
 
 
 if __name__ == "__main__":
