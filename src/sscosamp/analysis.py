@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import build_projector, lstsq
-from .model import SparseCoefficients, _check_same_n
+from .model import SparseCoefficients, _check_same_n, _finite_norm
 from .projections import _check_oracle_args, exhaustive_argmin, stacked_residuals, support_bases
 
 __all__ = [
@@ -264,13 +264,10 @@ def upper_rip_tail_check(A, k, z, delta_k_est):
         raise InvalidInputError("k must be >= 1")
     if not delta_k_est >= 0:
         raise InvalidInputError("delta_k_est must be >= 0")
-    with np.errstate(over="ignore"):  # the checks report the overflow
-        z_norm = float(np.linalg.norm(z))
-        if not math.isfinite(z_norm):
-            raise InvalidInputError("z contains non-finite entries or its norm overflows")
-        observed = float(np.linalg.norm(A.matrix @ z))
-    if not math.isfinite(observed):
-        raise InvalidInputError("the norm of A z overflows")
+    z_norm = float(_finite_norm(z, "z contains non-finite entries or its norm overflows", None))
+    with np.errstate(over="ignore"):  # entries near 1e300 overflow the product itself
+        Az = A.matrix @ z
+    observed = float(_finite_norm(Az, "the norm of A z overflows", None))
     bound = math.sqrt(1.0 + delta_k_est) * (z_norm + float(np.linalg.norm(z, 1)) / math.sqrt(k))
     slack = bound - observed
     return TailCheckResult(holds=slack >= 0.0, slack=slack, bound=bound, observed=observed)

@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -435,9 +435,8 @@ def run_projection_study(dictionary, k, patterns, backends, trials, seed,
                 z = x + scale * bump / float(np.linalg.norm(bump))
                 for name in backends:
                     quality = evaluate_projection_quality(dictionary, z, k, make_backend(name))
-                    rows.append(ProjectionStudyRow(
-                        backend=name, pattern=pattern, trial=trial, eps1=quality.eps1,
-                        eps2=quality.eps2, opt_residual=quality.opt_residual))
+                    rows.append(ProjectionStudyRow(backend=name, pattern=pattern, trial=trial,
+                                                   **asdict(quality)))
     except NumericalFailureError as exc:
         exc.rows = rows
         raise

@@ -17,12 +17,13 @@ writes the rows scored before it.
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .analysis import drip_estimate, snr_db, theorem1_constants
 from .bench import (
+    IDENTITY_SCALE,
     SCENARIOS,
     STOP_NUMERICAL_FAILURE,
     SweepConfig,
@@ -75,18 +76,9 @@ def _csv_list(value):
     return tuple(item.strip() for item in value.split(",") if item.strip())
 
 
-_SWEEP_KEYS = {
-    "scenario": str,
-    "n": int,
-    "k": int,
+_SWEEP_KEYS = {f.name: f.type for f in fields(SweepConfig)} | {
     "m_grid": lambda v: tuple(int(x) for x in _csv_list(v)),
-    "trials": int,
     "algorithms": _csv_list,
-    "noise_norm": float,
-    "master_seed": int,
-    "snr_threshold_db": float,
-    "tikhonov_bound_factor": float,
-    "max_iters": int,
 }
 
 
@@ -207,11 +199,7 @@ def _cmd_recover(args):
 def _cmd_constants(args):
     consts = theorem1_constants(args.delta, args.eps1, args.eps2)
     if args.format == "json":
-        payload = {
-            "delta4k": consts.delta4k, "eps1": consts.eps1, "eps2": consts.eps2,
-            "C1": consts.C1, "C2": consts.C2,
-            "is_contractive": consts.is_contractive,
-        }
+        payload = {**asdict(consts), "is_contractive": consts.is_contractive}
         _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         _write_text(
@@ -228,7 +216,7 @@ def _add_dictionary_flags(parser):
     parser.add_argument("--n", type=int, default=16, help="signal length")
     parser.add_argument("--redundancy", type=int, default=2,
                         help="dictionary redundancy factor (dft)")
-    parser.add_argument("--scale", type=float, default=100.0,
+    parser.add_argument("--scale", type=float, default=IDENTITY_SCALE,
                         help="large-column scale (rescaled-identity)")
 
 

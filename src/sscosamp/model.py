@@ -200,6 +200,15 @@ def _check_same_n(A, dictionary):
         raise InvalidInputError("sensing matrix and dictionary disagree on n")
 
 
+def _finite_norm(x, message, axis):
+    """``np.linalg.norm(x, axis=axis)``; InvalidInputError(message) where it is not finite."""
+    with np.errstate(over="ignore"):  # the check reports the overflow
+        norm = np.linalg.norm(x, axis=axis)
+    if not np.isfinite(norm).all():
+        raise InvalidInputError(message)
+    return norm
+
+
 @dataclass(frozen=True, eq=False)
 class Measurements:
     """Observed vector y = A x + e."""
@@ -210,10 +219,7 @@ class Measurements:
         y = np.asarray(self.y, dtype=np.complex128)
         if y.ndim != 1:
             raise InvalidInputError("y must be a vector")
-        with np.errstate(over="ignore"):  # the check reports the overflow
-            y_norm = np.linalg.norm(y)
-        if not math.isfinite(y_norm):
-            raise InvalidInputError("y contains non-finite entries or its norm overflows")
+        _finite_norm(y, "y contains non-finite entries or its norm overflows", None)
         object.__setattr__(self, "y", y)
 
     @property

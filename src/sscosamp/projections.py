@@ -323,8 +323,6 @@ class L1Backend:
         z = _check_projection_args(dictionary, z, k)
         with np.errstate(over="ignore"):  # basis_pursuit_denoise reports the overflow
             z_norm = np.linalg.norm(z)
-        if z_norm == 0.0:
-            return tuple(range(k))
         alpha = basis_pursuit_denoise(dictionary.matrix, z, L1_SIGMA_REL * z_norm)
         return top_k(np.abs(alpha), k)
 

@@ -308,7 +308,7 @@ def l1_baseline(A, dictionary, measurements, k):
     y, y_norm = _measured(A, measurements)
     Phi = dictionary.sense(A, None)
     support = ()
-    if k > 0 and y_norm > 0:
+    if k > 0:
         alpha = basis_pursuit_denoise(Phi, y, L1_SIGMA_REL * y_norm)
         mags = np.abs(alpha)
         eligible = int(np.count_nonzero(mags > L1_MAGNITUDE_FLOOR * y_norm))

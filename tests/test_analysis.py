@@ -373,6 +373,13 @@ def test_tail_check_rejects_a_z_whose_image_norm_overflows():
         upper_rip_tail_check(A, 2, z, 0.1)
 
 
+def test_tail_check_rejects_an_image_that_overflows_in_the_product():
+    # finite entries near 1e300 overflow A z itself, not only its norm
+    A = SensingMatrix(np.full((2, 4), 1e300))
+    with pytest.raises(InvalidInputError, match="norm of A z overflows"):
+        upper_rip_tail_check(A, 2, np.ones(4), 0.1)
+
+
 # ---------------------------------------------------------------------------
 # stacked exhaustive scans against plain per-support references
 

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, subcommands, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import scipy.linalg
 import sscosamp
 from sscosamp import InvalidInputError, SweepConfig, run_sweep
 from sscosamp.bench import format_snr
-from sscosamp.cli import build_sweep_config, main, parse_config_file
+from sscosamp.cli import _SWEEP_KEYS, build_sweep_config, main, parse_config_file
 
 from _fixtures import fail_first_call
 
@@ -66,6 +67,12 @@ def test_build_sweep_config():
         build_sweep_config({"trials": "5"})
     with pytest.raises(InvalidInputError):
         build_sweep_config({"scenario": "dft-separated", "trials": "lots"})
+
+
+def test_sweep_config_keys_are_the_sweep_config_fields():
+    # the keys and their parsers come from SweepConfig's fields and annotations
+    assert set(_SWEEP_KEYS) == {f.name for f in dataclasses.fields(SweepConfig)}
+    assert _SWEEP_KEYS["noise_norm"] is float and _SWEEP_KEYS["scenario"] is str
 
 
 def test_constants_text_output(capsys):

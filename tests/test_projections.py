@@ -54,6 +54,14 @@ def test_threshold_renormalizes_scores():
     assert project_support(ThresholdBackend(), D, z, 2) == (2, 3)
 
 
+@pytest.mark.parametrize("D", [build_overcomplete_dft(4, 2), build_rescaled_identity(6, 100.0)],
+                         ids=["dft", "rescaled-identity"])
+def test_l1_backend_answers_the_zero_vector_with_the_first_k_columns(D):
+    # basis_pursuit_denoise returns zeros and top_k keeps the lowest indices
+    for k in (1, 3):
+        assert L1Backend().support(D, np.zeros(D.n), k) == tuple(range(k))
+
+
 def test_every_backend_finds_an_exact_atom():
     D = build_overcomplete_dft(8, 1)
     z = D.matrix[:, 5].copy()
