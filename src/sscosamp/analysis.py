@@ -266,8 +266,7 @@ def upper_rip_tail_check(A, k, z, delta_k_est):
         raise InvalidInputError("delta_k_est must be >= 0")
     z_norm = float(_finite_norm(z, "z contains non-finite entries or its norm overflows", None))
     with np.errstate(over="ignore"):  # entries near 1e300 overflow the product itself
-        Az = A.matrix @ z
-    observed = float(_finite_norm(Az, "the norm of A z overflows", None))
+        observed = float(_finite_norm(A.matrix @ z, "the norm of A z overflows", None))
     bound = math.sqrt(1.0 + delta_k_est) * (z_norm + float(np.linalg.norm(z, 1)) / math.sqrt(k))
     slack = bound - observed
     return TailCheckResult(holds=slack >= 0.0, slack=slack, bound=bound, observed=observed)

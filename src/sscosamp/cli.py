@@ -10,8 +10,9 @@ constants     Evaluate the convergence constants C1, C2 from flags.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment.  Exit
 codes: 0 success, 2 configuration/usage error or an output that cannot be
-written, 3 numerical failure.  On a numerical failure ``project-eval`` still
-writes the rows scored before it.
+written, 3 numerical failure.  Every output file is opened (and created) before
+the work starts.  On a numerical failure ``project-eval`` still writes the
+rows scored before it.
 """
 
 import argparse
@@ -200,6 +201,8 @@ def _cmd_constants(args):
     consts = theorem1_constants(args.delta, args.eps1, args.eps2)
     if args.format == "json":
         payload = {**asdict(consts), "is_contractive": consts.is_contractive}
+        payload = {key: value if np.isfinite(value) else format_snr(value)  # JSON has no inf
+                   for key, value in payload.items()}
         _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         _write_text(
@@ -294,6 +297,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (args.out, getattr(args, "aggregate_out", None)):
+            if path not in (None, "-"):
+                open(path, "a").close()
         return args.func(args)
     except (InvalidInputError, InstanceTooLargeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

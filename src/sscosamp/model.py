@@ -31,6 +31,15 @@ __all__ = [
 MAX_DICT_ENTRIES = 100_000_000
 
 
+def _finite_norm(x, message, axis):
+    """``np.linalg.norm(x, axis=axis)``; InvalidInputError(message) where it is not finite."""
+    with np.errstate(over="ignore"):  # the check reports the overflow
+        norm = np.linalg.norm(x, axis=axis)
+    if not np.isfinite(norm).all():
+        raise InvalidInputError(message)
+    return norm
+
+
 @dataclass(frozen=True, eq=False)
 class Dictionary:
     """An n-by-d synthesis dictionary with cached column norms.
@@ -52,7 +61,7 @@ class Dictionary:
             raise InvalidInputError(f"dictionary matrix must be 2-D and non-empty, got {M.shape}")
         if not np.isfinite(M).all():
             raise InvalidInputError("dictionary matrix contains non-finite entries")
-        norms = np.linalg.norm(M, axis=0)
+        norms = _finite_norm(M, "dictionary column norms overflow", 0)
         if np.any(norms == 0.0):
             raise InvalidInputError("dictionary has a zero column")
         object.__setattr__(self, "matrix", M)
@@ -200,15 +209,6 @@ def _check_same_n(A, dictionary):
         raise InvalidInputError("sensing matrix and dictionary disagree on n")
 
 
-def _finite_norm(x, message, axis):
-    """``np.linalg.norm(x, axis=axis)``; InvalidInputError(message) where it is not finite."""
-    with np.errstate(over="ignore"):  # the check reports the overflow
-        norm = np.linalg.norm(x, axis=axis)
-    if not np.isfinite(norm).all():
-        raise InvalidInputError(message)
-    return norm
-
-
 @dataclass(frozen=True, eq=False)
 class Measurements:
     """Observed vector y = A x + e."""
@@ -274,6 +274,8 @@ def build_rescaled_identity(n, scale):
         raise InvalidInputError("n must be >= 2")
     if not scale > 0:
         raise InvalidInputError("scale must be positive")
+    if n * n > MAX_DICT_ENTRIES:
+        raise InvalidInputError(f"requested rescaled identity too large ({n}x{n})")
     diag = np.ones(n)
     diag[: n // 2] = scale
     return _Diagonal(matrix=np.diag(diag))

@@ -20,6 +20,7 @@ import scipy.linalg
 
 from .errors import InstanceTooLargeError, InvalidInputError, NumericalFailureError
 from .linalg import build_projector, lstsq
+from .model import _finite_norm
 
 __all__ = [
     "ThresholdBackend",
@@ -366,10 +367,11 @@ def project_support(backend, dictionary, z, k):
 
 
 def _check_oracle_args(dictionary, z, k):
-    """``z`` as a complex vector, once it is finite, of length n, and 1 <= k <= d."""
+    """``z`` as a complex vector, once it and its norm are finite, of length n, and 1 <= k <= d."""
     z = _check_projection_args(dictionary, z, k)
     if not np.isfinite(z).all():
         raise InvalidInputError("z contains non-finite entries")
+    _finite_norm(z, "the norm of z overflows", None)
     return z
 
 

@@ -93,6 +93,24 @@ def test_constants_json_output(capsys):
     assert payload["is_contractive"] is True
 
 
+def _no_json_constant(token):
+    raise AssertionError(f"not JSON: {token}")
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--delta", "0.1", "--eps1", "inf"], {"C1": "inf", "C2": "inf", "eps1": "inf"}),
+    (["--delta", "0.1", "--eps1", "1e308", "--eps2", "1e308"],
+     {"C1": "inf", "C2": "inf", "eps1": 1e308}),
+    (["--delta", "0.0", "--eps1", "inf"], {"C1": "nan", "eps2": 0.0}),
+], ids=["infinite-eps", "overflowing-C1", "nan-C1"])
+def test_constants_json_writes_non_finite_values_as_tokens(capsys, flags, expected):
+    # C1 used to be written as Infinity or NaN, which JSON does not have
+    assert main(["constants", *flags, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_json_constant)
+    assert {key: payload[key] for key in expected} == expected
+    assert payload["is_contractive"] is False
+
+
 def test_constants_invalid_delta_exits_2(capsys):
     rc = main(["constants", "--delta", "1.5"])
     assert rc == 2
@@ -442,12 +460,47 @@ def test_project_eval_empty_lists_exit_2(flags, message, capsys):
     "project-eval --trials 1 --backends threshold --out {tmp}/missing/q.csv",
 ], ids=["constants", "sweep-aggregate", "sweep", "recover", "drip", "project-eval"])
 def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, argv):
-    # each used to exit 1 with a FileNotFoundError or IsADirectoryError traceback
-    assert main(argv.format(tmp=tmp_path, cfg=_write_config(tmp_path)).split()) == 2
-    err = capsys.readouterr().err
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and str(tmp_path) in lines[0]
-    assert "Traceback" not in err
+    # each used to exit 1 with a FileNotFoundError or IsADirectoryError
+    # traceback; recover then printed its whole trace before exiting 2
+    line = _error_line_of_exit_2(argv.format(tmp=tmp_path, cfg=_write_config(tmp_path)).split(),
+                                 capsys)
+    assert str(tmp_path) in line
+
+
+def test_sweep_to_a_directory_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    # the sweep used to run every trial before it found that --out is a directory
+    def no_sweep(*args):
+        raise AssertionError("the sweep may not run")
+
+    monkeypatch.setattr("sscosamp.cli.run_sweep", no_sweep)
+    argv = ["sweep", "--config", _write_config(tmp_path), "--out", str(tmp_path)]
+    assert "Is a directory" in _error_line_of_exit_2(argv, capsys)
+
+
+def test_outputs_are_created_before_the_work_and_never_truncated(tmp_path, capsys):
+    kept, new = tmp_path / "kept.txt", tmp_path / "new.txt"
+    kept.write_text("earlier output\n")
+    for path in (kept, new):
+        _error_line_of_exit_2(["constants", "--delta", "1.5", "--out", str(path)], capsys)
+    assert kept.read_text() == "earlier output\n"
+    assert new.read_text() == ""  # a run that fails after the check leaves an empty file
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("drip --dict rescaled-identity --n 4 --m 4 --k 2 --trials 3 --scale 1e160",
+     "dictionary column norms overflow"),
+    ("project-eval --dict rescaled-identity --n 4 --k 1 --scale 1e160 --trials 1 "
+     "--backends threshold", "dictionary column norms overflow"),
+    ("project-eval --n 8 --k 2 --backends threshold --trials 1 --perturbation 1e160",
+     "the norm of z overflows"),
+    ("project-eval --n 8 --k 2 --backends threshold,l1 --trials 1 --perturbation 1e160",
+     "the norm of z overflows"),
+    ("drip --dict rescaled-identity --n 10002 --m 4 --k 2 --trials 3",
+     "requested rescaled identity too large (10002x10002)"),
+], ids=["drip-scale", "project-eval-scale", "perturbation", "perturbation-l1", "identity-cap"])
+def test_overflowing_or_oversized_inputs_exit_2(argv, message, capsys):
+    # each used to exit 0 with RuntimeWarnings (the last with threshold,l1 exit 3)
+    assert _error_line_of_exit_2(argv.split(), capsys) == f"error: {message}"
 
 
 def test_constants_nan_exits_2(capsys):

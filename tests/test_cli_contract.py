@@ -2,12 +2,14 @@
 
 Every subcommand is called in-process through ``cli.main`` with flags (and,
 for ``sweep``, config keys) drawn at tiny sizes, valid and invalid alike:
-k at 0, 1 and d/2, noise from 0 through 1e300 plus NaN and inf, seeds at -1,
-0 and 2**64, negative trial counts.  The contract:
+k at 0, 1 and d/2, noise from 0 through 1e300 plus NaN and inf, scales,
+perturbations and constants up to 1e160, seeds at -1, 0 and 2**64, negative
+trial counts.  The contract:
 
 * the exit code is 0, 2 or 3 (an uncaught exception, exit 1, fails the test);
 * on 2 or 3, stderr holds no traceback and ends in its one ``error: ...`` or
   ``numerical failure: ...`` line;
+* on 0, stderr is empty;
 * on 2, stdout is empty;
 * an input outside its documented range (a negative seed or trial count,
   k = 0, a NaN, a noise whose measurements overflow) exits 2;
@@ -39,7 +41,8 @@ FAILURE_PREFIXES = ("error: ", "numerical failure: ")
 NOISE = ["0", "1e-300", "0.01", "1e154", "2e154", "1e300", "nan", "inf", "-1"]
 BAD_NOISE = {"2e154", "1e300", "nan", "inf", "-1"}
 SEEDS = [None, -1, 0, 2**64]
-FLOATS = ["0.1", "0", "-1", "nan", "inf"]
+# scale, perturbation and constants values; 1e160 overflows a column norm or ||z||
+FLOATS = ["0.1", "0", "-1", "nan", "inf", "1e160"]
 BACKENDS = ("threshold", "omp", "cosamp", "l1", "exhaustive")
 PATTERNS = ("uniform", "separated", "clustered", "hybrid")
 
@@ -56,6 +59,8 @@ def _run(argv, must_reject):
         lines = err.splitlines()
         assert lines and lines[-1].startswith(FAILURE_PREFIXES), (argv, err)
         assert sum(line.startswith(FAILURE_PREFIXES) for line in lines) == 1, (argv, err)
+    if rc == 0:
+        assert err == "", (argv, err)
     if rc == 2:
         assert out == "", (argv, out)
     if must_reject:

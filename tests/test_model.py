@@ -67,6 +67,25 @@ def test_rescaled_identity_trivial_and_errors():
         build_rescaled_identity(4, 0.0)
 
 
+def test_rescaled_identity_is_refused_past_the_size_cap_before_any_allocation(monkeypatch):
+    # 10002**2 entries exceed MAX_DICT_ENTRIES; np.diag would ask for 800 MB
+    def no_diag(*args):
+        raise AssertionError("no dictionary may be built")
+
+    monkeypatch.setattr(np, "diag", no_diag)
+    with pytest.raises(InvalidInputError, match=r"too large \(10002x10002\)"):
+        build_rescaled_identity(10002, 100.0)
+
+
+@pytest.mark.parametrize("build", [lambda: Dictionary(np.diag([1e160, 1.0])),
+                                   lambda: build_rescaled_identity(4, 1e160)],
+                         ids=["dictionary", "rescaled-identity"])
+def test_dictionary_rejects_column_norms_that_overflow(build):
+    # the norms used to be inf, and drip's distortions NaN, with a RuntimeWarning
+    with pytest.raises(InvalidInputError, match="^dictionary column norms overflow$"):
+        build()
+
+
 def test_dictionary_rejects_zero_columns():
     M = np.eye(3)
     M[:, 1] = 0.0

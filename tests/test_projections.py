@@ -324,6 +324,16 @@ def test_projection_argument_validation():
         make_backend("sorting-hat")
 
 
+@pytest.mark.parametrize("oracle", [optimal_projection, mismatch], ids=["optimal", "mismatch"])
+def test_oracles_reject_a_z_whose_norm_overflows(oracle):
+    # the oracle used to score such a z, with a RuntimeWarning, and report inf
+    D = build_overcomplete_dft(4, 2)
+    with pytest.raises(InvalidInputError, match="^the norm of z overflows$"):
+        oracle(D, np.full(4, 1e160), 2)
+    with pytest.raises(InvalidInputError, match="^z contains non-finite entries$"):
+        oracle(D, np.array([1.0, math.nan, 0.0, 0.0]), 2)
+
+
 def test_quality_exhaustive_self_comparison_is_zero():
     rng = np.random.default_rng(43)
     D = unit_norm_dictionary(rng, 8, 12)

@@ -9,7 +9,8 @@ settable and do not count.
     python3 tools/settable_values.py --src OTHER/src  # counts another tree
 
 Prints one ``module:line  owner.name`` line per value, then the total, then
-the package's line count (what ``wc -l src/sscosamp/*.py`` totals).
+the package's line count (what ``wc -l src/sscosamp/*.py`` totals) followed
+by each module's.
 """
 
 import argparse
@@ -77,14 +78,16 @@ def main():
                         help="source root holding the sscosamp package (default: ./src)")
     args = parser.parse_args()
     package = Path(args.src) / "sscosamp"
-    total = lines = 0
+    total = 0
+    lines = {}
     for path in sorted(package.glob("*.py")):
         for line, name in settable_values(path):
             print(f"{path.name}:{line}  {name}")
             total += 1
-        lines += path.read_bytes().count(b"\n")
+        lines[path.name] = path.read_bytes().count(b"\n")
     print(f"settable values: {total}")
-    print(f"src lines: {lines}")
+    per_module = ", ".join(f"{name} {count}" for name, count in lines.items())
+    print(f"src lines: {sum(lines.values())} ({per_module})")
 
 
 if __name__ == "__main__":
