@@ -8,10 +8,10 @@ imaginary part).  A LAPACK failure (``LinAlgError``) surfaces as
 :class:`NumericalFailureError`, so callers handle one failure type.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import InvalidInputError, NumericalFailureError
@@ -37,6 +37,12 @@ QR_RCOND_MIN = 1e-10
 # its bracketing and bisection steps for the ridge parameter.
 TIKHONOV_TOL = 1e-9
 TIKHONOV_MAX_BISECT = 200
+
+
+def _norm(x):
+    """Euclidean norm of a 1-D complex vector, as ``np.linalg.norm`` computes
+    it bit for bit, without its dispatch."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def lstsq(cols, y):
@@ -91,7 +97,8 @@ class OrthoProjector:
 def build_projector(cols):
     """Build the orthogonal projector onto the column span of ``cols``.
 
-    Uses Householder QR with column pivoting; pivots whose magnitude falls
+    Uses Householder QR with column pivoting (LAPACK ``zgeqp3``, then
+    ``zungqr`` for the basis, called directly); pivots whose magnitude falls
     below ``DEFAULT_RANK_TOL`` times the largest pivot are dropped, so nearly
     dependent columns of a coherent dictionary do not pollute the basis.
 
@@ -107,16 +114,32 @@ def build_projector(cols):
     cols = _as_matrix(cols, "cols")
     if cols.shape[1] == 0:
         raise InvalidInputError("cannot build a projector from zero columns")
+    if cols.shape[0] == 0:
+        return OrthoProjector(basis=np.zeros((0, 0), dtype=np.complex128))
     try:
-        Q, R, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
+        qr, _, tau = _lapack_call("zgeqp3", cols)
+        # pivots before zungqr overwrites qr; wide inputs keep a square Q
+        pivots = np.abs(qr.diagonal())
+        Q = _lapack_call("zungqr", qr[:, :cols.shape[0]], tau, overwrite_a=1)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"build_projector: {exc}") from exc
-    pivots = np.abs(np.diag(R))
-    if pivots.size == 0 or pivots[0] == 0.0:
+    if pivots[0] == 0.0:
         rank = 0
     else:
         rank = int(np.count_nonzero(pivots >= DEFAULT_RANK_TOL * pivots[0]))
     return OrthoProjector(basis=np.ascontiguousarray(Q[:, :rank]))
+
+
+def _lapack_call(name, *args, **kwargs):
+    """The outputs of ``lapack.<name>`` before its workspace, after a workspace
+    query (``lwork=-1``), as ``scipy.linalg.qr`` calls it; LinAlgError on a
+    nonzero info."""
+    routine = getattr(lapack, name)
+    lwork = routine(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{name} returned info = {info}")
+    return out[0] if len(out) == 1 else out
 
 
 def _qr_lstsq(M, y):
@@ -234,6 +257,6 @@ def tikhonov_lsq(cols, y, norm_bound):
     if y.shape[0] != cols.shape[0]:
         raise InvalidInputError("y length does not match cols row count")
     beta = _qr_lstsq(cols, y)
-    if beta is not None and np.linalg.norm(beta) <= norm_bound * (1.0 + TIKHONOV_TOL):
+    if beta is not None and _norm(beta) <= norm_bound * (1.0 + TIKHONOV_TOL):
         return beta
     return _ridge_constrained(cols, y, norm_bound)

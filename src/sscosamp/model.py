@@ -47,8 +47,9 @@ class Dictionary:
     ``matrix`` is stored as complex128 regardless of input dtype.  The
     builders return subclasses with faster operators for their structure.
     What is derived from ``matrix`` is computed once and kept for the
-    dictionary's lifetime: the column norms, the conjugate ``analysis`` uses
-    and the exhaustive oracle's memos (``projections.optimal_projection``).
+    dictionary's lifetime: the column norms, the conjugate ``analysis`` uses,
+    the column-major copy that column gathers read and the exhaustive
+    oracle's memos (``projections.optimal_projection``).
     So ``matrix`` must not be changed in place.
     """
 
@@ -80,6 +81,12 @@ class Dictionary:
         return self.matrix.conj()
 
     @cached_property
+    def _fortran(self):
+        # a gather of columns from a column-major copy is several times faster
+        # and gives the same bytes in the same F-contiguous layout
+        return np.asfortranarray(self.matrix)
+
+    @cached_property
     def _oracle_memo(self):
         # the exhaustive oracle's last answer and one-chunk support bases
         return {}
@@ -102,7 +109,7 @@ class Dictionary:
 
     def columns(self, support):
         """Return the n-by-|support| submatrix of the given column indices."""
-        return self.matrix[:, self._indices(support)]
+        return self._fortran[:, self._indices(support)]
 
     def sense(self, A, support):
         """Return the columns of the composed operator A D.
@@ -284,8 +291,8 @@ def build_rescaled_identity(n, scale):
 class _Diagonal(Dictionary):
     """The dictionary :func:`build_rescaled_identity` returns.
 
-    ``matrix`` is diagonal, so analysis, column gathers and the columns of
-    A D scale by the diagonal instead of forming dense products.  Every sum
+    ``matrix`` is diagonal, so analysis and the columns of A D scale by the
+    diagonal instead of forming dense products.  Every sum
     of the dense product has one nonzero term, so the results carry the
     dense product's bits.
     """
@@ -297,12 +304,6 @@ class _Diagonal(Dictionary):
     def analysis(self, z):
         # + 0.0 turns the -0.0 of a zero entry into the +0.0 a dense sum gives
         return self._diag.conj() * z + 0.0
-
-    def columns(self, support):
-        idx = self._indices(support)
-        cols = np.zeros((self.n, len(idx)), dtype=np.complex128)
-        cols[idx, np.arange(len(idx))] = self._diag[idx]
-        return cols
 
     def sense(self, A, support):
         _check_same_n(A, self)

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InstanceTooLargeError, InvalidInputError, NumericalFailureError
-from .linalg import build_projector, lstsq
+from .linalg import _norm, build_projector, lstsq
 from .model import _finite_norm
 
 __all__ = [
@@ -82,12 +82,6 @@ ADMM_MAX_ITERS = 8000
 ADMM_TOL_ABS = 1e-8
 ADMM_TOL_REL = 1e-6
 L1_SIGMA_REL = 1e-6
-
-
-def _norm(x):
-    """Euclidean norm of a 1-D complex vector, as ``np.linalg.norm`` computes
-    it bit for bit, without its dispatch."""
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def top_k(scores, k):
@@ -305,11 +299,11 @@ class CoSaMPBackend:
 
     def support(self, dictionary, z, k):
         z = _check_projection_args(dictionary, z, k)
-        z_norm = np.linalg.norm(z)
+        z_norm = _norm(z)
         gamma = ()
-        steps = cosamp_steps(dictionary.matrix, dictionary.analysis, lstsq, z, k)
+        steps = cosamp_steps(dictionary._fortran, dictionary.analysis, lstsq, z, k)
         for *_, new_gamma, _, residual in itertools.islice(steps, COSAMP_BACKEND_MAX_ITERS):
-            done = new_gamma == gamma or np.linalg.norm(residual) <= 1e-12 * z_norm
+            done = new_gamma == gamma or _norm(residual) <= 1e-12 * z_norm
             gamma = new_gamma
             if done:
                 break

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import build_projector, lstsq, tikhonov_lsq
+from .linalg import _norm, build_projector, lstsq, tikhonov_lsq
 from .model import _check_same_n
 from .projections import (
     L1_SIGMA_REL,
@@ -139,13 +139,13 @@ def _record(it, h, omega, merged, x_tilde, gamma, estimate, residual):
     with np.errstate(over="ignore"):  # an overflowing norm is recorded as inf
         return IterationRecord(
             iteration=it,
-            proxy_norm=float(np.linalg.norm(h)),
+            proxy_norm=float(_norm(h)),
             identify_support=omega,
             merged_support=tuple(merged),
             x_tilde=x_tilde,
             pruned_support=gamma,
             estimate=estimate,
-            residual_norm=float(np.linalg.norm(residual)),
+            residual_norm=float(_norm(residual)),
         )
 
 
@@ -153,7 +153,7 @@ def _stop_reason(res_norm, y_norm, new, old):
     """Why a loop stops at iterate ``new`` after ``old``, or None."""
     if res_norm <= RESIDUAL_TOL * y_norm:
         return STOP_RESIDUAL
-    if np.linalg.norm(new - old) <= STALL_TOL * np.linalg.norm(new):
+    if _norm(new - old) <= STALL_TOL * _norm(new):
         return STOP_STALL
     return None
 

@@ -178,7 +178,7 @@ def test_failed_instance_draw_fails_every_run_of_its_trial(monkeypatch):
 @pytest.mark.parametrize("owner, attr", [
     (np.linalg, "lstsq"),
     (np.linalg, "svd"),
-    (scipy.linalg, "qr"),
+    (scipy.linalg.lapack, "zgeqp3"),
 ])
 def test_lapack_failure_is_one_failed_row(monkeypatch, owner, attr):
     calls = fail_first_call(monkeypatch, owner, attr)

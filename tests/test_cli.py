@@ -324,7 +324,7 @@ def test_sweep_lapack_failure_writes_row_and_exits_3(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("algorithm, owner, attr", [
     ("omp", np.linalg, "lstsq"),
     ("sscosamp-threshold", np.linalg, "svd"),
-    ("sscosamp-threshold", scipy.linalg, "qr"),
+    ("sscosamp-threshold", scipy.linalg.lapack, "zgeqp3"),
 ])
 def test_recover_lapack_failure_exits_3(capsys, monkeypatch, algorithm, owner, attr):
     def broken(*args, **kwargs):

@@ -12,8 +12,9 @@ from sscosamp import (
     build_projector,
     tikhonov_lsq,
 )
+from sscosamp.linalg import DEFAULT_RANK_TOL, _norm
 
-from _fixtures import random_complex
+from _fixtures import random_complex, same_bits
 
 
 def test_projector_axis_aligned_span():
@@ -51,6 +52,53 @@ def test_projector_all_zero_matrix_has_rank_zero():
     # the empty product gives +0.0 zeros, the bits of np.zeros_like
     z = np.array([1.0, -2.0, -0.0, 3.0 - 1j])
     assert P.apply(z).tobytes() == np.zeros_like(z).tobytes()
+
+
+def test_projector_basis_has_the_bits_of_scipy_pivoted_qr():
+    # build_projector calls zgeqp3 and zungqr itself; its basis is the one
+    # scipy.linalg.qr's economic pivoted Q gives, cut at the same rank
+    rng = np.random.default_rng(41)
+    D = build_overcomplete_dft(32, 4)
+    base = random_complex(rng, 8, 3)
+    inputs = [D.columns(tuple(range(start, start + t))) for start, t in ((0, 1), (40, 9), (100, 23))]
+    inputs += [D.columns(tuple(sorted(rng.choice(D.d, size=t, replace=False)))) for t in (2, 8, 16)]
+    inputs += [np.column_stack([base, base[:, 1] + 1e-13 * base[:, 2]]),  # rank-deficient
+               random_complex(rng, 4, 7),  # wide
+               np.zeros((4, 2), dtype=complex)]
+    for cols in inputs:
+        Q, R, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
+        pivots = np.abs(np.diag(R))
+        rank = int(np.count_nonzero(pivots >= DEFAULT_RANK_TOL * pivots[0])) if pivots[0] else 0
+        assert same_bits(build_projector(cols).basis, np.ascontiguousarray(Q[:, :rank]))
+
+
+@pytest.mark.parametrize("routine", ["zgeqp3", "zungqr"])
+def test_projector_lapack_info_raises_numerical_failure(monkeypatch, routine):
+    real = getattr(scipy.linalg.lapack, routine)
+
+    def reports_an_error(*args, **kwargs):
+        return (*real(*args, **kwargs)[:-1], -7)
+
+    monkeypatch.setattr(scipy.linalg.lapack, routine, reports_an_error)
+    with pytest.raises(NumericalFailureError,
+                       match=f"^build_projector: {routine} returned info = -7$"):
+        build_projector(random_complex(np.random.default_rng(3), 6, 2))
+
+
+def test_norm_has_the_bits_of_numpy_norm():
+    rng = np.random.default_rng(83)
+    vectors = [random_complex(rng, n) for n in (1, 7, 64, 1000)]
+    vectors += [
+        np.zeros(5, dtype=complex),
+        np.array([-0.0 + 0.0j, 0.0 - 0.0j]),
+        np.full(6, 3e-320 - 2e-321j),  # subnormal
+        random_complex(rng, 9) * 1e-160,  # squares underflow
+        random_complex(rng, 4) * 1e200,  # squares overflow
+        random_complex(rng, 30)[::3],  # strided
+    ]
+    with np.errstate(over="ignore", under="ignore"):
+        for x in vectors:
+            assert same_bits(np.float64(_norm(x)), np.linalg.norm(x))
 
 
 def test_apply_projector_basic_cases():
