@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import sscosamp
-from sscosamp import InvalidInputError, SweepConfig, run_sweep
+from sscosamp import InvalidInputError, SweepConfig, projections, run_sweep
 from sscosamp.bench import format_snr
 from sscosamp.cli import _SWEEP_KEYS, build_sweep_config, main, parse_config_file
 
@@ -201,31 +201,38 @@ _L1_STUDY = ["project-eval", "--dict", "dft", "--n", "16", "--redundancy", "2", 
 _FAILING_STUDY = _L1_STUDY + ["--patterns", "separated,clustered"]
 
 
-def test_project_eval_admm_failure_reports_iteration_and_diagnostics(capsys):
+def test_project_eval_admm_failure_reports_iteration_and_diagnostics(capsys, monkeypatch):
+    # at a 1000-iteration cap separated trial 4's L1 solve fails in both runs
+    monkeypatch.setattr(projections, "ADMM_MAX_ITERS", 1000)
     rc = main(_FAILING_STUDY + ["--trials", "12"])
     assert rc == 3
     captured = capsys.readouterr()
     rows = [line.split(",")[1:3] for line in captured.out.splitlines()[1:]]
-    assert rows == ([["separated", str(t)] for t in range(12)]
-                    + [["clustered", str(t)] for t in range(11)])
+    assert rows == [["separated", str(t)] for t in range(4)]
     assert captured.err == (
-        "numerical failure: basis_pursuit_denoise: ADMM did not converge (iteration 8000; "
-        "dual_residual=0.00030378585665513284; primal_residual=0.00014099065693400778; "
-        "rho=1.0; sigma=8.195094975398406e-07)\n"
+        "numerical failure: basis_pursuit_denoise: ADMM did not converge (iteration 1000; "
+        "dual_residual=2.9777138142352073e-06; primal_residual=9.819884472587632e-06; "
+        "rho=8.0; sigma=3.78408682879862e-07)\n"
     )
 
 
-def test_project_eval_failure_keeps_the_rows_scored_before_it(tmp_path):
-    # clustered trial 11's L1 solve fails; every row before it is written as
-    # the studies that stop short of it write that row
-    failed, separated, both = (tmp_path / name for name in ("f.csv", "s.csv", "b.csv"))
+def test_project_eval_failure_keeps_the_rows_scored_before_it(tmp_path, monkeypatch):
+    # separated trial 4's L1 solve fails at a 1000-iteration cap; every row
+    # before it is written as the studies that stop short of it write that row
+    monkeypatch.setattr(projections, "ADMM_MAX_ITERS", 1000)
+    failed, separated = (tmp_path / name for name in ("f.csv", "s.csv"))
     assert main(_FAILING_STUDY + ["--trials", "12", "--out", str(failed)]) == 3
-    assert main(_L1_STUDY + ["--patterns", "separated", "--trials", "12",
+    assert main(_L1_STUDY + ["--patterns", "separated", "--trials", "4",
                              "--out", str(separated)]) == 0
-    assert main(_FAILING_STUDY + ["--trials", "11", "--out", str(both)]) == 0
-    clustered = [line for line in both.read_text().splitlines() if ",clustered," in line]
-    assert failed.read_text().splitlines() == separated.read_text().splitlines() + clustered
-    assert len(clustered) == 11
+    assert failed.read_text().splitlines() == separated.read_text().splitlines()
+    assert len(failed.read_text().splitlines()) == 1 + 4
+
+
+def test_project_eval_l1_study_answers_every_vector_at_the_default_cap(tmp_path):
+    # seed 40's clustered trial 11 used to end this study with exit 3
+    out = tmp_path / "quality.csv"
+    assert main(_FAILING_STUDY + ["--trials", "12", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 24
 
 
 def test_project_eval_support_sampler_failure_exits_3(capsys):

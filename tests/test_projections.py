@@ -404,6 +404,20 @@ class _RecordingL1Backend:
         return self.supports[-1]
 
 
+def _record_admm_runs(monkeypatch):
+    """Log ``(relax, failed)`` for every ADMM run of ``basis_pursuit_denoise``."""
+    real = projections._admm
+    runs = []
+
+    def recording(W, MH, zn, sig, relax):
+        v, failure = real(W, MH, zn, sig, relax)
+        runs.append((relax, v is None))
+        return v, failure
+
+    monkeypatch.setattr(projections, "_admm", recording)
+    return runs
+
+
 def test_l1_backend_fails_at_the_iteration_cap_on_one_study_vector(monkeypatch):
     D = build_overcomplete_dft(16, 2)
     backend = _RecordingL1Backend()
@@ -412,14 +426,32 @@ def test_l1_backend_fails_at_the_iteration_cap_on_one_study_vector(monkeypatch):
     # converges within ADMM_MAX_ITERS
     run_projection_study(D, 2, ("separated",), ("l1",), 4, 101)
     assert backend.supports[3] == (12, 25)
-    # seed 40, clustered, trial 11 does not converge: rho cycles between 0.5 and 2
+    # at a 1000-iteration cap seed 40's separated trial 4 fails in the plain
+    # run and in the relaxed rerun; the error carries the plain run's residuals
+    monkeypatch.setattr(projections, "ADMM_MAX_ITERS", 1000)
+    runs = _record_admm_runs(monkeypatch)
     with pytest.raises(NumericalFailureError) as info:
         run_projection_study(D, 2, ("separated", "clustered"), ("l1",), 12, 40)
-    assert [(r.pattern, r.trial) for r in info.value.rows][-1] == ("clustered", 10)
-    assert info.value.iteration == projections.ADMM_MAX_ITERS == 8000
-    assert info.value.diagnostics["rho"] == 1.0
-    assert repr(info.value.diagnostics["primal_residual"]) == "0.00014099065693400778"
-    assert repr(info.value.diagnostics["dual_residual"]) == "0.00030378585665513284"
+    assert [(r.pattern, r.trial) for r in info.value.rows][-1] == ("separated", 3)
+    assert runs[-2:] == [(1.0, True), (projections.ADMM_RELAXATION, True)]
+    assert info.value.iteration == 1000
+    assert info.value.diagnostics["rho"] == 8.0
+    assert repr(info.value.diagnostics["primal_residual"]) == "9.819884472587632e-06"
+    assert repr(info.value.diagnostics["dual_residual"]) == "2.9777138142352073e-06"
+
+
+def test_l1_solve_that_cycles_answers_by_the_relaxed_rerun(monkeypatch):
+    # seed 40, clustered, trial 11 failed at the 8000 cap: rho cycles between
+    # 0.5 and 2 in the plain run; the over-relaxed rerun converges, and its
+    # support is the exhaustive oracle's
+    D = build_overcomplete_dft(16, 2)
+    runs = _record_admm_runs(monkeypatch)
+    rows = run_projection_study(D, 2, ("separated", "clustered"), ("l1", "exhaustive"), 12, 40)
+    assert runs[-2:] == [(1.0, True), (projections.ADMM_RELAXATION, False)]
+    assert runs.count((1.0, True)) == 1
+    l1, exhaustive = rows[-2:]
+    assert (l1.backend, l1.pattern, l1.trial) == ("l1", "clustered", 11)
+    assert l1.eps1 == l1.eps2 == exhaustive.eps1 == 0.0
 
 
 def test_basis_pursuit_woodbury_step_solves_a_tall_system():
