@@ -160,10 +160,12 @@ def drip_estimate(A, dictionary, k, trials, seed):
         support = rng.choice(dictionary.d, size=k, replace=False)
         values = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2.0)
         signal = dictionary.matrix[:, support] @ values
-        denom = float(np.linalg.norm(signal))
+        denom = float(_finite_norm(signal, "the norm of a sampled signal D a overflows", None))
         if denom < DRIP_NORM_FLOOR:
             continue
-        num = float(np.linalg.norm(A.matrix @ signal))
+        with np.errstate(over="ignore"):  # entries near 1e300 overflow the product itself
+            num = float(_finite_norm(A.matrix @ signal, "the norm of a sampled A D a overflows",
+                                     None))
         worst = max(worst, abs((num / denom) ** 2 - 1.0))
     if worst < 0.0:
         raise NumericalFailureError("drip_estimate: every sampled signal was degenerate")

@@ -15,6 +15,7 @@ from sscosamp import (
     SensingMatrix,
     build_overcomplete_dft,
     build_projector,
+    build_rescaled_identity,
     corollary1_envelope,
     draw_gaussian_sensing,
     draw_sparse_coefficients,
@@ -223,6 +224,18 @@ def test_drip_estimate_monotone_in_trials():
     lo = drip_estimate(A, D, 2, trials=10, seed=8).delta_lower
     hi = drip_estimate(A, D, 2, trials=100, seed=8).delta_lower
     assert lo <= hi + 1e-15
+
+
+@pytest.mark.parametrize("A, D, message", [
+    # column norms of 1.3e154 pass the dictionary's check, but ||D a||^2 overflows
+    (SensingMatrix(np.eye(4)), build_rescaled_identity(4, 1.3e154), "signal D a"),
+    (SensingMatrix(1e300 * np.eye(4)), build_overcomplete_dft(4, 1), "A D a"),
+], ids=["signal", "image"])
+def test_drip_estimate_refuses_a_sample_whose_norm_overflows(A, D, message):
+    # it used to return delta_lower = 1.0 from inf/inf distortions, with
+    # RuntimeWarnings, which this suite turns into errors
+    with pytest.raises(InvalidInputError, match=f"^the norm of a sampled {message} overflows$"):
+        drip_estimate(A, D, 2, trials=20, seed=0)
 
 
 def test_drip_validation(monkeypatch):

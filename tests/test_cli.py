@@ -504,7 +504,10 @@ def test_outputs_are_created_before_the_work_and_never_truncated(tmp_path, capsy
      "the norm of z overflows"),
     ("drip --dict rescaled-identity --n 10002 --m 4 --k 2 --trials 3",
      "requested rescaled identity too large (10002x10002)"),
-], ids=["drip-scale", "project-eval-scale", "perturbation", "perturbation-l1", "identity-cap"])
+    ("drip --dict rescaled-identity --n 4 --m 4 --k 2 --trials 20 --scale 1.3e154",
+     "the norm of a sampled signal D a overflows"),
+], ids=["drip-scale", "project-eval-scale", "perturbation", "perturbation-l1", "identity-cap",
+        "drip-signal-norm"])
 def test_overflowing_or_oversized_inputs_exit_2(argv, message, capsys):
     # each used to exit 0 with RuntimeWarnings (the last with threshold,l1 exit 3)
     assert _error_line_of_exit_2(argv.split(), capsys) == f"error: {message}"

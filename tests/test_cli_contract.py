@@ -41,8 +41,9 @@ FAILURE_PREFIXES = ("error: ", "numerical failure: ")
 NOISE = ["0", "1e-300", "0.01", "1e154", "2e154", "1e300", "nan", "inf", "-1"]
 BAD_NOISE = {"2e154", "1e300", "nan", "inf", "-1"}
 SEEDS = [None, -1, 0, 2**64]
-# scale, perturbation and constants values; 1e160 overflows a column norm or ||z||
-FLOATS = ["0.1", "0", "-1", "nan", "inf", "1e160"]
+# scale, perturbation and constants values; 1e160 overflows a column norm or
+# ||z||, 1.3e154 passes the column-norm check and overflows ||D a||
+FLOATS = ["0.1", "0", "-1", "nan", "inf", "1e160", "1.3e154"]
 BACKENDS = ("threshold", "omp", "cosamp", "l1", "exhaustive")
 PATTERNS = ("uniform", "separated", "clustered", "hybrid")
 

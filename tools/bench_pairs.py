@@ -110,8 +110,8 @@ def main(argv=None):
         for side in SIDES:
             env, passes, result = run(checkouts[side], args.workload, args.seed, seconds, True)
             traced[side] = (passes, result)
-            print(f"traced {args.workload} seed {args.seed} {side}: correct {result['correct']}",
-                  file=sys.stderr)
+            print(f"traced {args.workload} seed {args.seed} {side}: failed {result['failed']} "
+                  f"of {result['attempted']}, correct {result['correct']}", file=sys.stderr)
         layers = {name: {side: traced[side][1]["metrics"][name]["value"] for side in SIDES}
                   for name in traced["parent"][1]["metrics"]}
         record.setdefault(f"traced_seed_{args.seed}", {})[args.workload] = {

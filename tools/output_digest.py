@@ -58,7 +58,10 @@ Sections:
   diagnostics 40 and 45 failed 1 of 504 each, an L1 solve that reached
   ADMM's iteration cap.  A timed ``perfbench/run.py``
   counts ``failed`` over all its passes, so compare its shares, not its
-  counts.
+  counts.  The passes of ``TRACED_PASSES`` run once more with perfbench's
+  tracer installed, and their counts are digested too: a traced pass fails
+  every operation whose calls the tracer cannot read (a ``tikhonov_lsq``
+  called without its ``norm_bound`` keyword, for example).
 
 BLAS is pinned to one thread before numpy loads, so threaded reductions do
 not change the last bits.  It takes about 130 s on a 2-core Xeon VM, 107 s
@@ -157,7 +160,7 @@ def _csv_text(ss, result):
 _FAILURES = (
     (np.linalg, "lstsq"),
     (np.linalg, "svd"),
-    (scipy.linalg, "qr"),
+    (scipy.linalg.lapack, "zgeqp3"),
     (scipy.linalg, "cho_factor"),
 )
 
@@ -391,24 +394,37 @@ PASS_SEEDS = (
 )
 
 
+# (workload, seed) that perfbench_passes also runs with perfbench's tracer installed
+TRACED_PASSES = (("identity", 2026), ("separated", 2026))
+
+
 def perfbench_passes(ss):
     sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import workloads  # imports sscosamp, which is already the --src tree's
+    import tracing  # noqa: F401  both import sscosamp, already the --src tree's
+    import workloads
 
     digest = Digest()
+
+    def add_pass(name, seed, traced):
+        workload = workloads.make_workload(name, out_dir)
+        workload.setup(seed)
+        with tracing.Tracer().installed() if traced else contextlib.nullcontext():
+            res = workload.run_pass(seed)
+        counts = (res.attempted, res.failed, sorted(res.failures.items()), res.successes)
+        digest.add(name, seed, counts)
+        if not traced:
+            for output in res.outputs:
+                digest.add(*(_csv_text(ss, item) if isinstance(item, ss.SweepResult) else item
+                             for item in output))
+        print(f"# perfbench {name} seed {seed}{' traced' if traced else ''}: {res.failed} of "
+              f"{res.attempted} failed {dict(res.failures)}", file=sys.stderr)
+
     with tempfile.TemporaryDirectory() as out_dir:
         for name, seeds in PASS_SEEDS:
-            workload = workloads.make_workload(name, out_dir)
             for seed in seeds:
-                workload.setup(seed)
-                res = workload.run_pass(seed)
-                counts = (res.attempted, res.failed, sorted(res.failures.items()), res.successes)
-                digest.add(name, seed, counts)
-                for output in res.outputs:
-                    digest.add(*(_csv_text(ss, item) if isinstance(item, ss.SweepResult) else item
-                                 for item in output))
-                print(f"# perfbench {name} seed {seed}: {res.failed} of {res.attempted} failed"
-                      f" {dict(res.failures)}", file=sys.stderr)
+                add_pass(name, seed, False)
+        for name, seed in TRACED_PASSES:
+            add_pass(name, seed, True)
     return digest
 
 
