@@ -120,7 +120,7 @@ def build_projector(cols):
         qr, _, tau = _lapack_call("zgeqp3", cols)
         # pivots before zungqr overwrites qr; wide inputs keep a square Q
         pivots = np.abs(qr.diagonal())
-        Q = _lapack_call("zungqr", qr[:, :cols.shape[0]], tau, overwrite_a=1)
+        Q, = _lapack_call("zungqr", qr[:, :cols.shape[0]], tau, overwrite_a=1)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"build_projector: {exc}") from exc
     if pivots[0] == 0.0:
@@ -131,15 +131,15 @@ def build_projector(cols):
 
 
 def _lapack_call(name, *args, **kwargs):
-    """The outputs of ``lapack.<name>`` before its workspace, after a workspace
-    query (``lwork=-1``), as ``scipy.linalg.qr`` calls it; LinAlgError on a
-    nonzero info."""
+    """The outputs of ``lapack.<name>`` before its workspace, as a list, after a
+    workspace query (``lwork=-1``), as ``scipy.linalg.qr`` calls it;
+    LinAlgError on a nonzero info."""
     routine = getattr(lapack, name)
     lwork = routine(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
     *out, _, info = routine(*args, lwork=lwork, **kwargs)
     if info != 0:
         raise np.linalg.LinAlgError(f"{name} returned info = {info}")
-    return out[0] if len(out) == 1 else out
+    return out
 
 
 def _qr_lstsq(M, y):

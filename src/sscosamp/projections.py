@@ -543,7 +543,7 @@ def _admm(W, MH, zn, sig, relax):
         if nu > sig:
             u *= sig / nu
         r = h - x_new
-        y += r if h_hat is h else h_hat - x_new
+        y += r if relax == 1.0 else h_hat - x_new
         balance = (it + 1) % RHO_BALANCE_EVERY == 0
         if balance or it == ADMM_MAX_ITERS - 1:
             r_norm = _norm(r)

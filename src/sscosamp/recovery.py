@@ -139,13 +139,13 @@ def _record(it, h, omega, merged, x_tilde, gamma, estimate, residual):
     with np.errstate(over="ignore"):  # an overflowing norm is recorded as inf
         return IterationRecord(
             iteration=it,
-            proxy_norm=float(_norm(h)),
+            proxy_norm=_norm(h),
             identify_support=omega,
             merged_support=tuple(merged),
             x_tilde=x_tilde,
             pruned_support=gamma,
             estimate=estimate,
-            residual_norm=float(_norm(residual)),
+            residual_norm=_norm(residual),
         )
 
 
