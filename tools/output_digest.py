@@ -64,8 +64,9 @@ Sections:
   called without its ``norm_bound`` keyword, for example).
 
 BLAS is pinned to one thread before numpy loads, so threaded reductions do
-not change the last bits.  It takes about 130 s on a 2-core Xeon VM, 107 s
-of them in ``perfbench_passes``.
+not change the last bits.  It takes about 150 s on a 2-core Xeon VM, 103 s
+of them in ``perfbench_passes`` and 33 s in ``sweep_csv`` (its ``sscosamp-l1``
+rows).
 """
 
 import argparse
