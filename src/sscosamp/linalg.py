@@ -117,10 +117,10 @@ def build_projector(cols):
     if cols.shape[0] == 0:
         return OrthoProjector(basis=np.zeros((0, 0), dtype=np.complex128))
     try:
-        qr, _, tau = _lapack_call("zgeqp3", cols)
+        qr, _, tau, _ = _lapack_call("zgeqp3", cols)
         # pivots before zungqr overwrites qr; wide inputs keep a square Q
         pivots = np.abs(qr.diagonal())
-        Q, = _lapack_call("zungqr", qr[:, :cols.shape[0]], tau, overwrite_a=1)
+        Q, _ = _lapack_call("zungqr", qr[:, :cols.shape[0]], tau, overwrite_a=1)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"build_projector: {exc}") from exc
     if pivots[0] == 0.0:
@@ -131,12 +131,9 @@ def build_projector(cols):
 
 
 def _lapack_call(name, *args, **kwargs):
-    """The outputs of ``lapack.<name>`` before its workspace, as a list, after a
-    workspace query (``lwork=-1``), as ``scipy.linalg.qr`` calls it;
-    LinAlgError on a nonzero info."""
-    routine = getattr(lapack, name)
-    lwork = routine(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
-    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    """The outputs of one ``lapack.<name>`` call but its ``info``, as a list,
+    with the wrapper's default workspace; LinAlgError on a nonzero info."""
+    *out, info = getattr(lapack, name)(*args, **kwargs)
     if info != 0:
         raise np.linalg.LinAlgError(f"{name} returned info = {info}")
     return out
@@ -154,17 +151,14 @@ def _qr_lstsq(M, y):
     m, t = M.shape
     if m < t:
         return None
-    qr, tau, _, info = lapack.zgeqrf(M)
-    if info != 0:
-        return None
-    rcond, info = lapack.ztrcon(qr[:t])
-    if info != 0 or not rcond > QR_RCOND_MIN:
-        return None
-    qhy, _, info = lapack.zunmqr("L", "C", qr, tau, y[:, None], 1)
-    if info != 0:
-        return None
-    beta, info = lapack.ztrtrs(qr, qhy)
-    if info != 0:
+    try:
+        qr, tau, _ = _lapack_call("zgeqrf", M)
+        rcond, = _lapack_call("ztrcon", qr[:t])
+        if not rcond > QR_RCOND_MIN:
+            return None
+        qhy, _ = _lapack_call("zunmqr", "L", "C", qr, tau, y[:, None], 1)
+        beta, = _lapack_call("ztrtrs", qr, qhy)
+    except np.linalg.LinAlgError:
         return None
     return beta[:t, 0]
 

@@ -65,6 +65,9 @@ def test_projector_basis_has_the_bits_of_scipy_pivoted_qr():
     inputs += [np.column_stack([base, base[:, 1] + 1e-13 * base[:, 2]]),  # rank-deficient
                random_complex(rng, 4, 7),  # wide
                np.zeros((4, 2), dtype=complex)]
+    # up to 128 columns LAPACK runs its unblocked code, where the wrapper's
+    # default workspace gives the bits of scipy's queried one
+    inputs += [random_complex(rng, 256, t) for t in (32, 64, 127, 128)]
     for cols in inputs:
         Q, R, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
         pivots = np.abs(np.diag(R))
@@ -252,19 +255,28 @@ def test_tikhonov_tall_well_conditioned_bound_active_lands_on_bound():
 
 
 def test_tikhonov_lapack_qr_failure_falls_back_to_svd(monkeypatch):
+    # a nonzero info from any of the QR path's four routines, each called
+    # once, sends the fit to the SVD path
     A, cols, y = _tall_well_conditioned(16)
-    calls = []
-
-    def failing_zgeqrf(a, *args, **kwargs):
-        calls.append(a.shape)
-        return a, np.zeros(min(a.shape), dtype=np.complex128), np.zeros(1), -1
-
-    monkeypatch.setattr(scipy.linalg.lapack, "zgeqrf", failing_zgeqrf)
     oracle, live = _svd_min_norm(A @ cols, y)
-    beta = tikhonov_lsq(A @ cols, y, norm_bound=np.inf)
-    assert calls == [(64, 24)]
     assert live == 24
-    assert np.array_equal(beta, oracle)
+    routines = ("zgeqrf", "ztrcon", "zunmqr", "ztrtrs")
+    real = {name: getattr(scipy.linalg.lapack, name) for name in routines}
+    for failing in routines:
+        calls = []
+
+        def logged(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                out = real[name](*args, **kwargs)
+                return (*out[:-1], -1) if name == failing else out
+            return call
+
+        for name in routines:
+            monkeypatch.setattr(scipy.linalg.lapack, name, logged(name))
+        beta = tikhonov_lsq(A @ cols, y, norm_bound=np.inf)
+        assert calls == list(routines[:routines.index(failing) + 1])
+        assert np.array_equal(beta, oracle)
 
 
 def test_tikhonov_ridge_bracket_failure_raises():
