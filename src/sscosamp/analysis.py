@@ -181,19 +181,27 @@ def drip_exact(A, dictionary, k):
     ``projections.support_bases`` and their eigenvalues from one batched
     solve per chunk; a rank-deficient support takes ``build_projector``'s
     basis instead.  Only feasible for small d: refuses more than
-    ``projections.DEFAULT_ENUMERATION_CAP`` supports.
+    ``projections.DEFAULT_ENUMERATION_CAP`` supports.  Refuses an ``A`` whose
+    Gram matrix, or one of its restrictions, overflows.
     """
     if not 1 <= k <= dictionary.d:
         raise InvalidInputError(f"need 1 <= k <= d={dictionary.d}")
     _check_same_n(A, dictionary)
-    gram = A.matrix.T @ A.matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # the check reports the overflow
+        gram = A.matrix.T @ A.matrix
+    if not np.isfinite(gram).all():
+        raise InvalidInputError("the Gram matrix A^T A overflows")
     worst = 0.0
     for supports, Q, full in support_bases(dictionary.matrix, k):
         stacks = [Q[full]] + [build_projector(dictionary.columns(s)).basis[None]
                               for s in supports[~full]]
         for Qs in stacks:
             if Qs.size:  # skips an empty stack and a rank-0 basis
-                eigs = np.linalg.eigvalsh(Qs.conj().transpose(0, 2, 1) @ gram @ Qs)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    restricted = Qs.conj().transpose(0, 2, 1) @ gram @ Qs
+                if not np.isfinite(restricted).all():
+                    raise InvalidInputError("a restriction Q^H A^T A Q overflows")
+                eigs = np.linalg.eigvalsh(restricted)
                 worst = max(worst, float(np.max(np.abs(eigs[:, [0, -1]] - 1.0))))
     return DRipEstimate(order_k=int(k), delta_lower=worst, trials=math.comb(dictionary.d, k),
                         exhaustive=True)

@@ -11,6 +11,7 @@ from sscosamp import (
     Dictionary,
     InstanceTooLargeError,
     InvalidInputError,
+    NumericalFailureError,
     SSCoSaMPConfig,
     SensingMatrix,
     build_overcomplete_dft,
@@ -238,6 +239,27 @@ def test_drip_estimate_refuses_a_sample_whose_norm_overflows(A, D, message):
         drip_estimate(A, D, 2, trials=20, seed=0)
 
 
+def test_drip_estimate_skips_degenerate_samples_and_refuses_when_all_are():
+    # every column norm is 1e-20, so every sample falls under the 1e-12 floor
+    A = SensingMatrix(np.eye(4))
+    with pytest.raises(NumericalFailureError,
+                       match="^drip_estimate: every sampled signal was degenerate$"):
+        drip_estimate(A, Dictionary(1e-20 * np.eye(4)), 1, trials=5, seed=0)
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1e155, "the Gram matrix A\\^T A overflows"),
+    # A^T A is finite here, but the largest restricted eigenvalue is not
+    (5e153, "a restriction Q\\^H A\\^T A Q overflows"),
+], ids=["gram", "restriction"])
+def test_drip_exact_refuses_an_A_whose_gram_overflows(scale, message):
+    # at 1e155 it used to report delta_lower = 0.0: NaN deviations are lost
+    # in max(worst, nan), after numpy's overflow RuntimeWarnings
+    A = SensingMatrix(scale * np.random.default_rng(0).standard_normal((4, 8)))
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        drip_exact(A, build_overcomplete_dft(8, 2), 1)
+
+
 def test_drip_validation(monkeypatch):
     A = draw_gaussian_sensing(4, 8, 0)
     D = build_overcomplete_dft(8, 1)
@@ -247,6 +269,9 @@ def test_drip_validation(monkeypatch):
         drip_estimate(A, D, 9, trials=5, seed=0)
     with pytest.raises(InvalidInputError):
         drip_exact(A, build_overcomplete_dft(6, 1), 2)
+    for k in (0, 9):
+        with pytest.raises(InvalidInputError, match="^need 1 <= k <= d=8$"):
+            drip_exact(A, D, k)
     monkeypatch.setattr(projections, "DEFAULT_ENUMERATION_CAP", 10)
     with pytest.raises(InstanceTooLargeError):
         drip_exact(A, D, 4)
