@@ -60,6 +60,11 @@ def test_sweep_config_validation():
             SweepConfig(**kwargs)
 
 
+def test_build_dictionary_refuses_an_unknown_kind():
+    with pytest.raises(InvalidInputError, match="^unknown dictionary kind 'haar'$"):
+        bench.build_dictionary("haar", 8, 2, 1.0)
+
+
 def test_run_sweep_bit_reproducible(tmp_path):
     cfg = SweepConfig(**TINY)
     first = run_sweep(cfg)

@@ -12,6 +12,7 @@ from sscosamp import (
     build_projector,
     tikhonov_lsq,
 )
+from sscosamp import linalg
 from sscosamp.linalg import DEFAULT_RANK_TOL, _norm
 
 from _fixtures import random_complex, same_bits
@@ -44,6 +45,23 @@ def test_projector_matches_normal_equations():
 def test_projector_rejects_zero_columns():
     with pytest.raises(InvalidInputError):
         build_projector(np.zeros((3, 0)))
+
+
+def test_projector_of_zero_rows_has_an_empty_basis():
+    assert build_projector(np.zeros((0, 3))).basis.shape == (0, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_projector(np.ones(3)), "^cols must be 2-dimensional, got shape \\(3,\\)$"),
+    (lambda: build_projector([[1.0, np.nan]]), "^cols contains non-finite entries$"),
+    (lambda: build_projector(np.eye(2)).apply(np.ones((2, 1))),
+     "^vector must be 1-dimensional, got shape \\(2, 1\\)$"),
+    (lambda: tikhonov_lsq(np.eye(2), [np.inf, 0.0], norm_bound=1.0),
+     "^y contains non-finite entries$"),
+], ids=["matrix-1d", "matrix-nan", "vector-2d", "vector-inf"])
+def test_inputs_of_the_wrong_dimension_or_not_finite_are_refused(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
 
 
 def test_projector_all_zero_matrix_has_rank_zero():
@@ -289,8 +307,20 @@ def test_tikhonov_ridge_bracket_failure_raises():
     assert info.value.diagnostics["hi"] > 1e60
 
 
+def test_tikhonov_bisection_cap_raises(monkeypatch):
+    A, cols, y = _tall_well_conditioned(15)
+    free, *_ = np.linalg.lstsq(A @ cols, y, rcond=None)
+    monkeypatch.setattr(linalg, "TIKHONOV_MAX_BISECT", 3)
+    with pytest.raises(NumericalFailureError,
+                       match="^tikhonov_lsq: bisection did not converge in 3 iterations$") as info:
+        tikhonov_lsq(A @ cols, y, norm_bound=0.3 * np.linalg.norm(free))
+    assert info.value.diagnostics["lo"] < info.value.diagnostics["hi"]
+
+
 def test_tikhonov_input_validation():
     y = np.ones(3)
+    with pytest.raises(InvalidInputError, match="^y must have at least one entry$"):
+        tikhonov_lsq(np.ones((0, 1)), np.ones(0), norm_bound=1.0)
     with pytest.raises(InvalidInputError):
         tikhonov_lsq(np.zeros((3, 0)), y, norm_bound=1.0)
     with pytest.raises(InvalidInputError):

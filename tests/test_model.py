@@ -65,6 +65,8 @@ def test_rescaled_identity_trivial_and_errors():
         build_rescaled_identity(5, 100.0)
     with pytest.raises(InvalidInputError):
         build_rescaled_identity(4, 0.0)
+    with pytest.raises(InvalidInputError, match="^n must be >= 2$"):
+        build_rescaled_identity(0, 1.0)
 
 
 def test_rescaled_identity_is_refused_past_the_size_cap_before_any_allocation(monkeypatch):
@@ -84,6 +86,28 @@ def test_dictionary_rejects_column_norms_that_overflow(build):
     # the norms used to be inf, and drip's distortions NaN, with a RuntimeWarning
     with pytest.raises(InvalidInputError, match="^dictionary column norms overflow$"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Dictionary(np.ones(3)), "^dictionary matrix must be 2-D and non-empty"),
+    (lambda: SensingMatrix(np.ones(3)), "^sensing matrix must be 2-D and non-empty"),
+    (lambda: SensingMatrix(np.array([[1.0, np.inf]])),
+     "^sensing matrix contains non-finite entries$"),
+    (lambda: Measurements(np.ones((2, 2))), "^y must be a vector$"),
+    (lambda: measure(SensingMatrix(np.eye(4)), np.ones(3), 0.0), "^x must be a length-4 vector$"),
+], ids=["dictionary-1d", "sensing-1d", "sensing-inf", "y-2d", "x-length"])
+def test_model_inputs_of_the_wrong_shape_or_value_are_refused(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()
+
+
+def test_adjacent_coherence_of_one_column_is_zero():
+    assert Dictionary(np.ones((3, 1))).adjacent_coherence() == 0.0
+
+
+def test_draw_at_zero_sparsity_is_empty():
+    coeffs = draw_sparse_coefficients(8, 0, "uniform", 0)
+    assert coeffs.support == () and coeffs.values.shape == (0,)
 
 
 def test_dictionary_rejects_zero_columns():
@@ -146,6 +170,10 @@ def test_draw_coefficients_validation():
         draw_sparse_coefficients(16, 8, "hybrid", 0, min_gap=8)
     with pytest.raises(InvalidInputError):
         draw_sparse_coefficients(10, 2, "zigzag", 0)
+    with pytest.raises(InvalidInputError, match="^min_gap must be >= 0$"):
+        draw_sparse_coefficients(16, 2, "separated", 0, min_gap=-1)
+    with pytest.raises(InvalidInputError, match="^d must be >= 1$"):
+        draw_sparse_coefficients(0, 0, "uniform", 0)
 
 
 def test_real_valued_coefficients_flag():
@@ -160,6 +188,8 @@ def test_sparse_coefficients_invariants():
         SparseCoefficients(support=(0, 7), values=np.ones(2), ambient_dim=5)
     with pytest.raises(InvalidInputError):
         SparseCoefficients(support=(0,), values=np.ones(2), ambient_dim=5)
+    with pytest.raises(InvalidInputError, match="^coefficient values must be finite$"):
+        SparseCoefficients(support=(0,), values=np.array([np.nan]), ambient_dim=5)
 
 
 def test_synthesize_matches_dense_multiply():

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -324,6 +325,20 @@ def test_projection_argument_validation():
         make_backend("sorting-hat")
 
 
+class _FixedBackend:
+    def __init__(self, support):
+        self._support = support
+
+    def support(self, dictionary, z, k):
+        return self._support
+
+
+@pytest.mark.parametrize("support", [(0,), (1, 1)], ids=["count", "repeat"])
+def test_project_support_refuses_a_backend_that_breaks_the_cardinality_contract(support):
+    with pytest.raises(NumericalFailureError, match="indices, expected 2$"):
+        project_support(_FixedBackend(support), build_overcomplete_dft(4, 2), np.ones(4), 2)
+
+
 @pytest.mark.parametrize("oracle", [optimal_projection, mismatch], ids=["optimal", "mismatch"])
 def test_oracles_reject_a_z_whose_norm_overflows(oracle):
     # the oracle used to score such a z, with a RuntimeWarning, and report inf
@@ -509,6 +524,16 @@ def test_basis_pursuit_raises_when_the_norm_of_z_overflows():
     M = np.random.default_rng(3).standard_normal((4, 8))
     with pytest.raises(NumericalFailureError, match="norm of z is not finite"):
         basis_pursuit_denoise(M, np.full(4, 1e154), 0.01)
+
+
+def test_basis_pursuit_cholesky_failure_raises(monkeypatch):
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic Cholesky breakdown")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fails)
+    with pytest.raises(NumericalFailureError,
+                       match="^basis_pursuit_denoise: synthetic Cholesky breakdown$"):
+        basis_pursuit_denoise(np.eye(3), np.ones(3), 0.1)
 
 
 def test_make_backend_known_names():

@@ -358,6 +358,14 @@ def test_dimension_validation():
             cosamp_baseline(A, D, meas, 1, max_iters=max_iters)
     with pytest.raises(InvalidInputError):
         SSCoSaMPConfig(k=1, tikhonov_norm_bound=0.0)
+    with pytest.raises(InvalidInputError, match="^measurement length does not match"):
+        sscosamp(A, D, Measurements(np.zeros(5)), SSCoSaMPConfig(k=1))
+    for baseline, k, message in ((cosamp_baseline, 0, "k must be >= 1"),
+                                 (omp_baseline, 0, "k must be >= 1"),
+                                 (omp_baseline, 17, "k=17 exceeds d=16"),
+                                 (l1_baseline, -1, "k must be >= 0")):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            baseline(A, D, meas, k)
 
 
 @pytest.mark.parametrize("baseline", [cosamp_baseline, omp_baseline, l1_baseline])
